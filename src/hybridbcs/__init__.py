@@ -7,12 +7,9 @@ from .dynamics import (
     StateDerivative,
     SystemParams,
     density,
-    gap_field,
     order_parameter,
     particle_hole_transform,
-    rhs_hybrid_loss,
-    rhs_hybrid_pump,
-    rhs_lindblad,
+    pseudospin,
     rhs_total,
 )
 from .integrator import (
@@ -21,8 +18,6 @@ from .integrator import (
     linear_sample_times,
     log_sample_times,
     run_protocol,
-    step_adaptive,
-    step_fixed,
 )
 from .observables import (
     PlateauReport,
@@ -32,7 +27,6 @@ from .observables import (
     exponent_drift,
     fit_power_law,
     population_inversion_time,
-    pseudospin,
     zeno_scan,
 )
 from .errors import (
@@ -68,7 +62,6 @@ __all__ = [
     "detect_plateau",
     "exponent_drift",
     "fit_power_law",
-    "gap_field",
     "linear_sample_times",
     "log_sample_times",
     "order_parameter",
@@ -76,13 +69,8 @@ __all__ = [
     "population_inversion_time",
     "pseudospin",
     "revival_time",
-    "rhs_hybrid_loss",
-    "rhs_hybrid_pump",
-    "rhs_lindblad",
     "rhs_total",
     "run_protocol",
     "solve_gap",
-    "step_adaptive",
-    "step_fixed",
     "zeno_scan",
 ]

@@ -11,9 +11,12 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +49,7 @@ _REQUIRED = {
     "time": ("t_max_w", "samples", "spacing"),
     "output": ("path",),
 }
-_INTEGRATOR_DEFAULTS = {"rtol": 1e-9, "atol": 1e-12, "max_step_w": np.inf}
+_INTEGRATOR_DEFAULTS = {"rtol": 1e-9, "atol": 1e-12}
 
 
 def validate_config(raw):
@@ -64,6 +67,8 @@ def validate_config(raw):
             expected = _SCHEMA[section][key]
             if expected is float and isinstance(value, (int, float)) \
                     and not isinstance(value, bool):
+                if not math.isfinite(value):
+                    raise ConfigurationError(f"config key {section}.{key} must be finite")
                 continue
             if not isinstance(value, expected) or isinstance(value, bool):
                 raise ConfigurationError(
@@ -84,6 +89,9 @@ def resolve_config(raw):
     cfg = {section: dict(content) for section, content in raw.items()}
     cfg["dissipation"].setdefault("alpha_pump", cfg["dissipation"]["alpha"])
     integ = dict(_INTEGRATOR_DEFAULTS)
+    # No step can exceed the horizon, so t_max_w bounds the step as
+    # infinity would, and keeps the sidecar strict JSON.
+    integ["max_step_w"] = cfg["time"]["t_max_w"]
     integ.update(cfg.get("integrator", {}))
     cfg["integrator"] = integ
     cfg["output"].setdefault("track_energies", [])
@@ -141,7 +149,7 @@ def write_sidecar(path, cfg, grid, series):
         "version": __version__,
     }
     with open(path, "w") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True)
+        json.dump(meta, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
 
 
@@ -252,22 +260,15 @@ def cmd_scan(args):
     workers = _worker_count(args)
     rows = []
     failures = 0
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = []
-            for job in jobs:
-                outcomes.append(pool.submit(_scan_one, job))
-            for value, (job, outcome) in zip(values, zip(jobs, outcomes)):
-                try:
-                    rows.append((value, job[1], outcome.result(), None))
-                except Exception as exc:
-                    failures += 1
-                    rows.append((value, job[1], None, str(exc)))
-    else:
-        for value, job in zip(values, jobs):
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        if pool is None:
+            results = [partial(_scan_one, job) for job in jobs]
+        else:
+            results = [pool.submit(_scan_one, job).result for job in jobs]
+        for value, job, result in zip(values, jobs, results):
             try:
-                rows.append((value, job[1], _scan_one(job), None))
-            except Exception as exc:
+                rows.append((value, job[1], result(), None))
+            except (IntegrationError, ConfigurationError) as exc:
                 failures += 1
                 rows.append((value, job[1], None, str(exc)))
 

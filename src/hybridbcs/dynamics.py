@@ -1,10 +1,9 @@
 """Right-hand side of the hybrid equations of motion for (n_k, Delta_k).
 
-The generator splits into a full-Lindblad part and loss/pump corrections
+The generator is the full Lindbladian plus loss and pump corrections
 weighted by (alpha - 1); alpha = 1 recovers the Lindblad dynamics, alpha = 0
-the normalized no-click (non-Hermitian) dynamics. The hybrid correction
-functions return the unprefactored terms so that alpha sweeps can reuse a
-single evaluation; rhs_total applies the (alpha - 1) prefactors.
+the normalized no-click (non-Hermitian) dynamics. rhs_total evaluates all of
+it in one call, computing n and Delta once.
 
 Self-consistent fields (n, Delta, Phi) are recomputed at every evaluation:
 the adaptive integrator assumes a pure function of the state. Occupations
@@ -12,7 +11,7 @@ are not clamped; physicality (0 <= n_k <= 1, zeta_k <= 1) is monitored by
 tests, not enforced here.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,9 +55,6 @@ class BcsState:
         if self.n_k.shape != self.d_k.shape:
             raise ConfigurationError("n_k and d_k must have the same length")
 
-    def copy(self):
-        return BcsState(t=self.t, n_k=self.n_k.copy(), d_k=self.d_k.copy())
-
 
 @dataclass
 class StateDerivative:
@@ -66,12 +62,6 @@ class StateDerivative:
 
     dn_k: np.ndarray
     dd_k: np.ndarray
-
-    def __add__(self, other):
-        return StateDerivative(self.dn_k + other.dn_k, self.dd_k + other.dd_k)
-
-    def scaled(self, factor):
-        return StateDerivative(factor * self.dn_k, factor * self.dd_k)
 
 
 def density(state, grid):
@@ -84,73 +74,68 @@ def order_parameter(state, grid):
     return complex(np.sum(grid.weights * state.d_k))
 
 
-def gap_field(state, params):
-    """Complex pairing drive Phi = (-|U| + i(Gamma - P)) Delta."""
-    delta = order_parameter(state, params.grid)
-    return (-params.u + 1j * (params.gamma - params.pump)) * delta
+def pseudospin(state, grid):
+    """Per-mode pseudospin components and squared length.
 
-
-def rhs_lindblad(state, params):
-    """Full-Lindblad equations of motion for (n_k, Delta_k)."""
-    grid = params.grid
-    n = density(state, grid)
-    phi = gap_field(state, params)
-    gamma, pump = params.gamma, params.pump
-    hole = 1.0 - 0.5 * n
-    dn = (-2.0 * np.imag(phi * np.conj(state.d_k))
-          - gamma * n * state.n_k
-          + 2.0 * pump * hole * (1.0 - state.n_k))
-    dd = (2j * grid.energies * state.d_k
-          - 1j * phi * (2.0 * state.n_k - 1.0)
-          - gamma * n * state.d_k
-          - 2.0 * pump * hole * state.d_k)
-    return StateDerivative(dn, dd)
-
-
-def rhs_hybrid_loss(state, params):
-    """Loss correction terms, without the (alpha_loss - 1) prefactor."""
-    grid = params.grid
-    n = density(state, grid)
-    delta = order_parameter(state, grid)
-    gamma = params.gamma
-    re_dd = np.real(delta * np.conj(state.d_k))
-    dn = (-gamma * n * (state.n_k ** 2 - np.abs(state.d_k) ** 2)
-          - 4.0 * gamma * re_dd * state.n_k)
-    dd = 2.0 * gamma * (-n * state.d_k * state.n_k
-                        + delta * state.n_k ** 2
-                        - np.conj(delta) * state.d_k ** 2)
-    return StateDerivative(dn, dd)
-
-
-def rhs_hybrid_pump(state, params):
-    """Pump correction terms, without the (alpha_pump - 1) prefactor."""
-    grid = params.grid
-    n = density(state, grid)
-    delta = order_parameter(state, grid)
-    pump = params.pump
-    hole_k = 1.0 - state.n_k
-    re_dd = np.real(delta * np.conj(state.d_k))
-    dn = (2.0 * pump * (1.0 - 0.5 * n) * (hole_k ** 2 - np.abs(state.d_k) ** 2)
-          + 4.0 * pump * re_dd * hole_k)
-    dd = 2.0 * pump * ((2.0 - n) * state.d_k * (state.n_k - 1.0)
-                       + delta * hole_k ** 2
-                       - np.conj(delta) * state.d_k ** 2)
-    return StateDerivative(dn, dd)
+    Returns (sx, sy, sz, zeta_k, zeta_mean) with sx = 2 Re Delta_k,
+    sy = 2 Im Delta_k, sz = 2 n_k - 1 and zeta_k = sx^2 + sy^2 + sz^2;
+    zeta_mean is the weighted average over the grid.
+    """
+    sx = 2.0 * state.d_k.real
+    sy = 2.0 * state.d_k.imag
+    sz = 2.0 * state.n_k - 1.0
+    zeta_k = sx ** 2 + sy ** 2 + sz ** 2
+    zeta_mean = float(np.sum(grid.weights * zeta_k))
+    return sx, sy, sz, zeta_k, zeta_mean
 
 
 def rhs_total(state, params):
-    """Hybrid generator: Lindblad + (alpha-1)-weighted loss and pump terms."""
-    out = rhs_lindblad(state, params)
-    if params.gamma != 0.0 and params.alpha_loss != 1.0:
-        out = out + rhs_hybrid_loss(state, params).scaled(params.alpha_loss - 1.0)
-    if params.pump != 0.0 and params.alpha_pump != 1.0:
-        out = out + rhs_hybrid_pump(state, params).scaled(params.alpha_pump - 1.0)
-    bad = ~(np.isfinite(out.dn_k) & np.isfinite(out.dd_k.real) & np.isfinite(out.dd_k.imag))
-    if np.any(bad):
-        mode = int(np.argmax(bad))
+    """Hybrid generator: Lindblad + (alpha-1)-weighted loss and pump terms.
+
+    With Phi = (-|U| + i(Gamma - P)) Delta the gap field, hole = 1 - n/2 and
+    h_k = 1 - n_k, the Lindblad part is
+
+        dn_k = -2 Im(Phi Delta_k*) - Gamma n n_k + 2 P hole h_k
+        dDelta_k = (2i eps_k - Gamma n - 2 P hole) Delta_k - i Phi (2 n_k - 1)
+
+    and the corrections enter with c_l = Gamma (alpha_loss - 1) and
+    c_p = P (alpha_pump - 1):
+
+        dn_k += -c_l n (n_k^2 - |Delta_k|^2) + 2 c_p hole (h_k^2 - |Delta_k|^2)
+                + 4 Re(Delta Delta_k*) (c_p h_k - c_l n_k)
+        dDelta_k += 2 [Delta (c_l n_k^2 + c_p h_k^2)
+                       - Delta_k (c_l n n_k + 2 c_p hole h_k)
+                       - (c_l + c_p) Delta* Delta_k^2]
+    """
+    grid = params.grid
+    gamma, pump = params.gamma, params.pump
+    n_k, d_k = state.n_k, state.d_k
+    n = density(state, grid)
+    delta = order_parameter(state, grid)
+    phi = (-params.u + 1j * (gamma - pump)) * delta
+    hole = 1.0 - 0.5 * n
+    h_k = 1.0 - n_k
+    dn = (-2.0 * (phi.imag * d_k.real - phi.real * d_k.imag)
+          - gamma * n * n_k + 2.0 * pump * hole * h_k)
+    dd = ((2j * grid.energies - (gamma * n + 2.0 * pump * hole)) * d_k
+          - 1j * phi * (2.0 * n_k - 1.0))
+    c_loss = gamma * (params.alpha_loss - 1.0)
+    c_pump = pump * (params.alpha_pump - 1.0)
+    if c_loss != 0.0 or c_pump != 0.0:
+        abs2 = d_k.real ** 2 + d_k.imag ** 2
+        re_dd = delta.real * d_k.real + delta.imag * d_k.imag
+        n2, h2 = n_k * n_k, h_k * h_k
+        dn += (-c_loss * n * (n2 - abs2) + 2.0 * c_pump * hole * (h2 - abs2)
+               + 4.0 * re_dd * (c_pump * h_k - c_loss * n_k))
+        dd += 2.0 * (delta * (c_loss * n2 + c_pump * h2)
+                     - d_k * (c_loss * n * n_k + 2.0 * c_pump * hole * h_k)
+                     - (c_loss + c_pump) * np.conj(delta) * d_k * d_k)
+    finite = np.isfinite(dn) & np.isfinite(dd)
+    if not finite.all():
+        mode = int(np.argmin(finite))
         raise BlowupError(f"non-finite derivative at mode {mode}, t={state.t}",
                           t=state.t, mode=mode)
-    return out
+    return StateDerivative(dn, dd)
 
 
 def particle_hole_transform(state, grid):

@@ -1,9 +1,10 @@
 """Time integration and quench-protocol execution.
 
-The workhorse is an embedded Dormand-Prince 5(4) pair with PI step-size
-control; the dissipative dynamics mixes fast exponential transients with
-slow power-law tails spanning several decades of time, so error-controlled
-steps are essential. A classical fixed-step RK4 is kept for cross-checks.
+The stepper is the embedded Dormand-Prince 5(4) pair (Hairer, Norsett &
+Wanner, Solving ODEs I, sec. II.5) with PI step-size control; the
+dissipative dynamics mixes fast exponential transients with slow power-law
+tails spanning several decades of time, so error-controlled steps are
+essential.
 
 The stepper lands exactly on every requested sample time (no dense-output
 interpolation), so recorded times equal requested times bit-for-bit.
@@ -13,24 +14,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import BcsState, StateDerivative, SystemParams, density, order_parameter, rhs_total
-from .errors import ConfigurationError, StepUnderflowError
+from .dynamics import BcsState, SystemParams, density, order_parameter, pseudospin, rhs_total
+from .errors import ConfigurationError, IntegrationError, StepUnderflowError
 from .lattice import revival_time
 
-# Dormand-Prince 5(4) tableau (DOPRI5).
+# Dormand-Prince 5(4) tableau (DOPRI5). Row 6 of _A holds the 5th-order
+# weights, so the last stage is f at the new point (first same as last).
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
+# Error row: 5th- minus 4th-order weights.
+_E = _A[6] - _B4
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -49,34 +52,10 @@ def _unpack(y, t):
     return BcsState(t=t, n_k=y[:m], d_k=y[m:2 * m] + 1j * y[2 * m:])
 
 
-def _f(y, t, params):
+def _f(y, t, params, out):
+    """Write the packed derivative of y = [n_k, Re Delta_k, Im Delta_k] into out."""
     deriv = rhs_total(_unpack(y, t), params)
-    return np.concatenate([deriv.dn_k, deriv.dd_k.real, deriv.dd_k.imag])
-
-
-def step_fixed(state, params, dt):
-    """One classical 4th-order Runge-Kutta step of size dt."""
-    if dt < 0:
-        raise ConfigurationError("dt must be non-negative")
-    if dt == 0:
-        return state.copy()
-    y = _pack(state)
-    t = state.t
-    k1 = _f(y, t, params)
-    k2 = _f(y + 0.5 * dt * k1, t + 0.5 * dt, params)
-    k3 = _f(y + 0.5 * dt * k2, t + 0.5 * dt, params)
-    k4 = _f(y + dt * k3, t + dt, params)
-    return _unpack(y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), t + dt)
-
-
-def _dp_stages(y, t, dt, params, k1=None):
-    k = [k1 if k1 is not None else _f(y, t, params)]
-    for i in range(1, 7):
-        yi = y + dt * sum(a * kj for a, kj in zip(_A[i], k))
-        k.append(_f(yi, t + _C[i] * dt, params))
-    y5 = y + dt * sum(b * kj for b, kj in zip(_B5, k) if b != 0.0)
-    y4 = y + dt * sum(b * kj for b, kj in zip(_B4, k) if b != 0.0)
-    return y5, y4, k[6]
+    np.concatenate([deriv.dn_k, deriv.dd_k.real, deriv.dd_k.imag], out=out)
 
 
 def _error_norm(err, y, y_new, rtol, atol):
@@ -85,9 +64,14 @@ def _error_norm(err, y, y_new, rtol, atol):
 
 
 class AdaptiveStepper:
-    """Embedded 5(4) stepper with PI control and FSAL reuse."""
+    """Embedded 5(4) stepper with PI control and FSAL reuse.
 
-    def __init__(self, params, rtol=1e-9, atol=1e-12, max_step=np.inf):
+    The seven stage derivatives live in one (7, size) buffer whose row 0
+    holds f at the current point: initial_step fills it, and every accepted
+    step refills it from the last stage.
+    """
+
+    def __init__(self, params, size, rtol=1e-9, atol=1e-12, max_step=np.inf):
         if rtol <= 0 or atol <= 0:
             raise ConfigurationError("rtol and atol must be positive")
         self.params = params
@@ -98,61 +82,49 @@ class AdaptiveStepper:
         self.n_steps = 0
         self.n_rejected = 0
         self._err_prev = 1.0
+        self._k = np.empty((7, size))
 
     def initial_step(self, y, t):
-        f0 = _f(y, t, self.params)
+        """Evaluate f(y, t) into the first stage; returns a first step size."""
+        f0 = self._k[0]
+        _f(y, t, self.params, f0)
         scale = self.atol + self.rtol * np.abs(y)
         d0 = np.sqrt(np.mean((y / scale) ** 2))
         d1 = np.sqrt(np.mean((f0 / scale) ** 2))
         dt = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
-        return min(dt, self.max_step), f0
+        return min(dt, self.max_step)
 
-    def step(self, y, t, dt, k1=None, t_limit=None):
-        """Advance by one accepted step; returns (y, t_new, dt_next, k_fsal, err).
+    def step(self, y, t, dt, t_limit):
+        """Advance by one accepted step; returns (y, t_new, dt_next).
 
         The proposal dt is truncated to land exactly on t_limit when it would
         overshoot; a truncated step leaves the proposal for the next step
         unchanged so the controller is not polluted by sampling breakpoints.
         """
-        if k1 is None:
-            k1 = _f(y, t, self.params)
+        k = self._k
         while True:
             dt_try = min(dt, self.max_step)
-            hit = t_limit is not None and dt_try >= t_limit - t
+            hit = dt_try >= t_limit - t
             if hit:
                 dt_try = t_limit - t
-            y5, y4, k_last = _dp_stages(y, t, dt_try, self.params, k1=k1)
-            err = _error_norm(y5 - y4, y, y5, self.rtol, self.atol)
+            for i in range(1, 7):
+                y_new = y + dt_try * (_A[i, :i] @ k[:i])
+                _f(y_new, t + _C[i] * dt_try, self.params, k[i])
+            err = _error_norm(dt_try * (_E @ k), y, y_new, self.rtol, self.atol)
             if err <= 1.0:
                 self.n_steps += 1
                 err_floor = max(err, 1e-16)
                 factor = min(_MAX_FACTOR,
                              _SAFETY * err_floor ** -_K_I * self._err_prev ** _K_P)
                 self._err_prev = err_floor
+                k[0] = k[6]
                 t_new = t_limit if hit else t + dt_try
                 dt_next = dt if hit else dt_try * factor
-                return y5, t_new, dt_next, k_last, err
+                return y_new, t_new, dt_next
             self.n_rejected += 1
             dt = dt_try * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             if dt < self.min_step:
                 raise StepUnderflowError(f"step size underflow at t={t}", t=t)
-
-
-def step_adaptive(state, params, rtol=1e-9, atol=1e-12, dt=None, max_step=np.inf):
-    """One accepted adaptive step; returns (state, accepted_dt, error_estimate).
-
-    Convenience wrapper for single-step use; run_protocol drives the
-    stepper directly to keep the PI controller state across steps.
-    """
-    stepper = AdaptiveStepper(params, rtol=rtol, atol=atol, max_step=max_step)
-    y = _pack(state)
-    if dt is None:
-        dt, k1 = stepper.initial_step(y, state.t)
-    else:
-        k1 = None
-    t_before = state.t
-    y_new, t_new, _, _, err = stepper.step(y, t_before, dt, k1=k1)
-    return _unpack(y_new, t_new), t_new - t_before, err
 
 
 @dataclass(frozen=True)
@@ -230,6 +202,10 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12, max_step=np.i
     grid = params.grid
     if len(initial.n_k) != grid.n_modes:
         raise ConfigurationError("initial state does not match the grid")
+    if protocol.sample_times[0] < initial.t:
+        raise ConfigurationError(
+            f"first sample time {protocol.sample_times[0]} precedes the initial "
+            f"time {initial.t}")
     guard = 0.4 * revival_time(grid)
     if protocol.t_max > guard:
         raise ConfigurationError(
@@ -250,22 +226,18 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12, max_step=np.i
     }
 
     def record(i, state):
+        sx, sy, sz, zeta_k, zeta_mean = pseudospin(state, grid)
         out["n"][i] = density(state, grid)
         out["delta"][i] = order_parameter(state, grid)
-        sx = 2.0 * state.d_k.real
-        sy = 2.0 * state.d_k.imag
-        sz = 2.0 * state.n_k - 1.0
-        zeta_k = sx ** 2 + sy ** 2 + sz ** 2
-        out["zeta_mean"][i] = float(np.sum(grid.weights * zeta_k))
+        out["zeta_mean"][i] = zeta_mean
         out["sx"][i] = sx[modes]
         out["sy"][i] = sy[modes]
         out["sz"][i] = sz[modes]
         out["zeta"][i] = zeta_k[modes]
 
-    stepper = AdaptiveStepper(params, rtol=rtol, atol=atol, max_step=max_step)
     y = _pack(initial)
+    stepper = AdaptiveStepper(params, y.size, rtol=rtol, atol=atol, max_step=max_step)
     t = initial.t
-    k1 = None
     dt = None
     i_sample = 0
     # Breakpoints the stepper must land on: the quench time and every sample.
@@ -275,16 +247,16 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12, max_step=np.i
     for t_event in events:
         stepper.params = off_params if t < protocol.switch_time else params
         if dt is None:
-            dt, k1 = stepper.initial_step(y, t)
+            dt = stepper.initial_step(y, t)
         while t < t_event:
-            y, t, dt, k1, _ = stepper.step(y, t, dt, k1=k1, t_limit=t_event)
+            y, t, dt = stepper.step(y, t, dt, t_event)
         if i_sample < n_samples and t == protocol.sample_times[i_sample]:
             record(i_sample, _unpack(y, t))
             i_sample += 1
         if t == protocol.switch_time:
-            k1 = None  # rates change discontinuously; stale FSAL stage invalid
-            dt = None
-    assert i_sample == n_samples
+            dt = None  # rates change discontinuously; stale FSAL stage invalid
+    if i_sample != n_samples:
+        raise IntegrationError(f"recorded {i_sample} of {n_samples} sample times", t=t)
 
     return TimeSeries(
         t=protocol.sample_times.copy(), n=out["n"], delta=out["delta"],

@@ -1,4 +1,4 @@
-"""Post-processing: pseudospins, power-law fits, plateau detection, Zeno scans."""
+"""Post-processing: power-law fits, plateau detection, Zeno scans."""
 
 from dataclasses import dataclass
 
@@ -8,21 +8,6 @@ from .dynamics import SystemParams
 from .equilibrium import build_ground_state, solve_gap
 from .errors import ConfigurationError
 from .integrator import Protocol, log_sample_times, run_protocol
-
-
-def pseudospin(state, grid):
-    """Per-mode pseudospin components and squared length.
-
-    Returns (sx, sy, sz, zeta_k, zeta_mean) with sx = 2 Re Delta_k,
-    sy = 2 Im Delta_k, sz = 2 n_k - 1 and zeta_k = sx^2 + sy^2 + sz^2;
-    zeta_mean is the weighted average over the grid.
-    """
-    sx = 2.0 * state.d_k.real
-    sy = 2.0 * state.d_k.imag
-    sz = 2.0 * state.n_k - 1.0
-    zeta_k = sx ** 2 + sy ** 2 + sz ** 2
-    zeta_mean = float(np.sum(grid.weights * zeta_k))
-    return sx, sy, sz, zeta_k, zeta_mean
 
 
 @dataclass(frozen=True)

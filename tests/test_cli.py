@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hybridbcs import cli
-from hybridbcs.errors import ConfigurationError
+from hybridbcs.errors import ConfigurationError, IntegrationError
 from hybridbcs.observables import collapse_index, detect_plateau
 
 
@@ -60,6 +60,10 @@ def test_validate_rejects_wrong_types(tmp_path):
     cfg["time"]["spacing"] = "cubic"
     with pytest.raises(ConfigurationError, match="spacing"):
         cli.validate_config(cfg)
+    cfg = base_config(tmp_path)
+    cfg["integrator"] = {"max_step_w": float("inf")}
+    with pytest.raises(ConfigurationError, match="integrator.max_step_w"):
+        cli.validate_config(cfg)
 
 
 def test_validate_rejects_missing_sections(tmp_path):
@@ -78,6 +82,7 @@ def test_resolve_fills_defaults(tmp_path):
     assert cfg["dissipation"]["alpha_pump"] == cfg["dissipation"]["alpha"]
     assert cfg["integrator"]["rtol"] == 1e-9
     assert cfg["integrator"]["atol"] == 1e-12
+    assert cfg["integrator"]["max_step_w"] == cfg["time"]["t_max_w"]
     assert cfg["output"]["track_energies"] == []
 
 
@@ -96,8 +101,11 @@ def test_run_writes_csv_and_sidecar(tmp_path):
     assert np.all(np.diff(data[:, 0]) > 0)
     assert np.allclose(data[:, 4], np.abs(data[:, 2] + 1j * data[:, 3]))
 
-    with open(tmp_path / "out.json") as handle:
-        sidecar = json.load(handle)
+    def reject_constant(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    sidecar = json.loads((tmp_path / "out.json").read_text(),
+                         parse_constant=reject_constant)
     assert sidecar["config"]["dissipation"]["alpha_pump"] == 1.0
     assert len(sidecar["grid_checksum"]) == 64
     assert len(sidecar["tracked_modes"]) == 2
@@ -116,7 +124,7 @@ def test_run_reproduces_from_sidecar(tmp_path):
         sidecar = json.load(handle)
     replay = sidecar["config"]
     replay["output"]["path"] = str(tmp_path / "replay.csv")
-    # max_step_w resolves to infinity, which JSON spells as Infinity.
+    # The sidecar holds the resolved config, max_step_w included.
     replay_path = write_config(tmp_path, replay, "replay.json")
     assert cli.main(["run", "--config", replay_path]) == 0
     assert (tmp_path / "replay.csv").read_bytes() == first
@@ -211,7 +219,7 @@ def test_scan_tolerates_single_failed_run(tmp_path, monkeypatch):
     def flaky(job):
         calls["count"] += 1
         if calls["count"] == 1:
-            raise RuntimeError("synthetic failure")
+            raise IntegrationError("synthetic failure")
         return real(job)
 
     monkeypatch.setattr(cli, "_scan_one", flaky)
@@ -225,6 +233,18 @@ def test_scan_tolerates_single_failed_run(tmp_path, monkeypatch):
     statuses = [row[2] for row in rows[1:]]
     assert statuses[0].startswith("failed")
     assert statuses[1] == "ok"
+
+
+def test_scan_propagates_programming_errors(tmp_path, monkeypatch):
+    # Only integration and configuration failures become "failed" rows.
+    def broken(job):
+        raise TypeError("synthetic bug")
+
+    monkeypatch.setattr(cli, "_scan_one", broken)
+    config_path = write_config(tmp_path, base_config(tmp_path, samples=15))
+    with pytest.raises(TypeError, match="synthetic bug"):
+        cli.main(["scan", "--config", config_path, "--axis", "gamma",
+                  "--values", "0.08,0.16", "--workers", "1"])
 
 
 def test_scan_workers_give_identical_output(tmp_path, monkeypatch):

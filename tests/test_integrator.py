@@ -10,8 +10,6 @@ from hybridbcs.integrator import (
     linear_sample_times,
     log_sample_times,
     run_protocol,
-    step_adaptive,
-    step_fixed,
 )
 from hybridbcs.lattice import build_flat_band
 
@@ -38,40 +36,27 @@ def test_protocol_validation():
         Protocol(t_max=1.0, sample_times=np.array([0.5, 0.5]))
     with pytest.raises(ConfigurationError):
         Protocol(t_max=1.0, sample_times=np.array([0.5, 2.0]))
-
-
-def test_fixed_step_is_fourth_order():
-    # Halving dt must shrink the one-step error by ~2^5 (local order 5).
-    grid, ground, params = loss_setup(16)
-    t_end = 0.5
-
-    def integrate(n_steps):
-        state = ground
-        dt = t_end / n_steps
-        for _ in range(n_steps):
-            state = step_fixed(state, params, dt)
-        return state
-
-    fine = integrate(256)
-    err = []
-    for n_steps in (8, 16):
-        got = integrate(n_steps)
-        err.append(np.max(np.abs(got.n_k - fine.n_k)))
-    order = np.log2(err[0] / err[1])
-    assert 3.7 < order < 4.3
-
-
-def test_adaptive_step_controls_error():
-    grid, ground, params = loss_setup(16)
-    state, dt, err = step_adaptive(ground, params, rtol=1e-9, atol=1e-12)
-    assert state.t == dt > 0
-    assert err <= 1.0
-
-
-def test_fixed_step_rejects_negative_dt():
+    # A sample before the initial time could never be recorded.
     grid, ground, params = loss_setup(8)
-    with pytest.raises(ConfigurationError):
-        step_fixed(ground, params, -0.1)
+    late = BcsState(t=5.0, n_k=ground.n_k, d_k=ground.d_k)
+    with pytest.raises(ConfigurationError, match="precedes"):
+        run_protocol(late, params,
+                     Protocol(t_max=8.0, sample_times=np.array([1.0, 6.0, 8.0])))
+
+
+def test_dp5_global_order():
+    # rtol = atol = 1 accepts every step, so max_step = h sets the step
+    # size; the end-point error of the 5th-order solution shrinks as h^5.
+    grid, ground, params = loss_setup(16, alpha=0.5)
+    protocol = Protocol(t_max=4.0, sample_times=np.array([4.0]))
+    ref = run_protocol(ground, params, protocol, rtol=1e-13, atol=1e-15)
+    err = []
+    for h in (0.4, 0.2, 0.1):
+        got = run_protocol(ground, params, protocol, rtol=1.0, atol=1.0, max_step=h)
+        assert got.metadata["integrator"]["rejections"] == 0
+        err.append(max(abs(got.n[-1] - ref.n[-1]), abs(got.delta[-1] - ref.delta[-1])))
+    orders = np.log2(np.array(err[:-1]) / np.array(err[1:]))
+    assert np.all((4.5 < orders) & (orders < 6.0)), orders
 
 
 def test_stationary_state_stays_put():

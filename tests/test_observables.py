@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hybridbcs.dynamics import BcsState
+from hybridbcs.dynamics import BcsState, pseudospin
 from hybridbcs.errors import ConfigurationError
 from hybridbcs.integrator import TimeSeries
 from hybridbcs.lattice import build_flat_band
@@ -10,7 +10,6 @@ from hybridbcs.observables import (
     exponent_drift,
     fit_power_law,
     population_inversion_time,
-    pseudospin,
     zeno_scan,
 )
 
