@@ -95,12 +95,35 @@ def test_free_precession():
     assert np.max(np.abs(deriv.dd_k - 2j * grid.energies * state.d_k)) < 1e-15
 
 
-def test_hybrid_corrections_are_linear_in_alpha():
+def test_hybrid_corrections_absent_at_alpha_one():
+    # At alpha = 1 the hybrid generator is the Lindblad mean-field generator,
+    # written out here with Phi = (-|U| + i(Gamma - P)) Delta.
+    grid = build_flat_band(1.0, 8)
+    rng = np.random.default_rng(1)
+    gamma, pump = 0.3, 0.2
+    params = SystemParams(u=1.0, gamma=gamma, pump=pump, alpha_loss=1.0,
+                          alpha_pump=1.0, grid=grid)
+    for _ in range(5):
+        state = random_state(rng, 8)
+        n = density(state, grid)
+        delta = order_parameter(state, grid)
+        phi = (-1.0 + 1j * (gamma - pump)) * delta
+        hole = 1.0 - 0.5 * n
+        dn = (-2.0 * np.imag(phi * np.conj(state.d_k)) - gamma * n * state.n_k
+              + 2.0 * pump * hole * (1.0 - state.n_k))
+        dd = ((2j * grid.energies - gamma * n - 2.0 * pump * hole) * state.d_k
+              - 1j * phi * (2.0 * state.n_k - 1.0))
+        deriv = rhs_total(state, params)
+        assert np.max(np.abs(deriv.dn_k - dn)) < 1e-14
+        assert np.max(np.abs(deriv.dd_k - dd)) < 1e-14
+
+
+def test_hybrid_split_composition():
     # The loss and pump corrections enter with weights (alpha - 1):
     # R(a, b) = R(1,1) + (1-a)[R(0,1) - R(1,1)] + (1-b)[R(1,0) - R(1,1)].
     # The oracle pins the values of R itself.
     grid = build_flat_band(1.0, 8)
-    rng = np.random.default_rng(1)
+    rng = np.random.default_rng(2)
 
     def rhs(state, a, b):
         params = SystemParams(u=1.0, gamma=0.3, pump=0.2, alpha_loss=a,

@@ -4,6 +4,7 @@ from scipy.integrate import solve_ivp
 
 from hybridbcs.dynamics import BcsState, SystemParams, density, rhs_total
 from hybridbcs.equilibrium import build_ground_state, solve_gap
+from hybridbcs import integrator
 from hybridbcs.errors import ConfigurationError
 from hybridbcs.integrator import (
     Protocol,
@@ -42,6 +43,52 @@ def test_protocol_validation():
     with pytest.raises(ConfigurationError, match="precedes"):
         run_protocol(late, params,
                      Protocol(t_max=8.0, sample_times=np.array([1.0, 6.0, 8.0])))
+
+
+def test_fixed_step_is_fourth_order():
+    # The error estimate of the adaptive stepper is the difference of the
+    # 5th-order weights _A[6] and the embedded 4th-order weights
+    # _A[6] - _E. Stepping at a fixed dt with either set must show its
+    # global order: halving dt shrinks the error by ~2^4 and ~2^5.
+    grid, ground, params = loss_setup(16, alpha=0.5)
+    t_end = 0.5
+
+    def integrate(n_steps, weights):
+        y = integrator._pack(ground)
+        k = np.empty((7, y.size))
+        dt = t_end / n_steps
+        for step in range(n_steps):
+            t = step * dt
+            integrator._f(y, t, params, k[0])
+            for i in range(1, 7):
+                integrator._f(y + dt * (integrator._A[i, :i] @ k[:i]),
+                              t + integrator._C[i] * dt, params, k[i])
+            y = y + dt * (weights @ k)
+        return y
+
+    fine = integrate(256, integrator._A[6])
+    for weights, low, high in ((integrator._A[6] - integrator._E, 3.7, 4.3),
+                               (integrator._A[6], 4.7, 5.3)):
+        err = [np.max(np.abs(integrate(n, weights) - fine)) for n in (8, 16)]
+        order = np.log2(err[0] / err[1])
+        assert low < order < high, (low, order)
+
+
+def test_adaptive_step_controls_error():
+    # Tightening rtol must shrink the error against a tight reference, and
+    # the error must stay below the requested tolerance.
+    grid, ground, params = loss_setup(16, alpha=0.5)
+    protocol = Protocol(t_max=4.0, sample_times=np.array([1.0, 2.0, 4.0]))
+    ref = run_protocol(ground, params, protocol, rtol=1e-13, atol=1e-15)
+    errs, steps = [], []
+    for rtol in (1e-5, 1e-7, 1e-9):
+        got = run_protocol(ground, params, protocol, rtol=rtol, atol=1e-3 * rtol)
+        err = max(np.max(np.abs(got.n - ref.n)), np.max(np.abs(got.delta - ref.delta)))
+        assert 0.0 < err < rtol, (rtol, err)
+        errs.append(err)
+        steps.append(got.metadata["integrator"]["steps"])
+    assert errs[0] > 10.0 * errs[1] > 100.0 * errs[2], errs
+    assert steps[0] < steps[1] < steps[2], steps
 
 
 def test_dp5_global_order():
