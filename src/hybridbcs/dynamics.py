@@ -66,12 +66,12 @@ class StateDerivative:
 
 def density(state, grid):
     """Total density n = 2 sum_k w_k n_k (factor 2 for spin)."""
-    return 2.0 * float(np.sum(grid.weights * state.n_k))
+    return 2.0 * float(grid.weights @ state.n_k)
 
 
 def order_parameter(state, grid):
     """Order parameter Delta = sum_k w_k Delta_k."""
-    return complex(np.sum(grid.weights * state.d_k))
+    return complex(grid.weights @ state.d_k)
 
 
 def pseudospin(state, grid):
@@ -85,7 +85,7 @@ def pseudospin(state, grid):
     sy = 2.0 * state.d_k.imag
     sz = 2.0 * state.n_k - 1.0
     zeta_k = sx ** 2 + sy ** 2 + sz ** 2
-    zeta_mean = float(np.sum(grid.weights * zeta_k))
+    zeta_mean = float(grid.weights @ zeta_k)
     return sx, sy, sz, zeta_k, zeta_mean
 
 

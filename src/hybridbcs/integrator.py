@@ -1,7 +1,7 @@
 """Time integration and quench-protocol execution.
 
-The stepper is the embedded Dormand-Prince 5(4) pair (Hairer, Norsett &
-Wanner, Solving ODEs I, sec. II.5) with PI step-size control; the
+The stepper is the embedded Dormand-Prince 8(5,3) method DOP853 (Hairer,
+Norsett & Wanner, Solving ODEs I, sec. II.10) with PI step-size control; the
 dissipative dynamics mixes fast exponential transients with slow power-law
 tails spanning several decades of time, so error-controlled steps are
 essential.
@@ -18,29 +18,51 @@ from .dynamics import BcsState, SystemParams, density, order_parameter, pseudosp
 from .errors import ConfigurationError, IntegrationError, StepUnderflowError
 from .lattice import revival_time
 
-# Dormand-Prince 5(4) tableau (DOPRI5). Row 6 of _A holds the 5th-order
-# weights, so the last stage is f at the new point (first same as last).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                -92097 / 339200, 187 / 2100, 1 / 40])
-# Error row: 5th- minus 4th-order weights.
-_E = _A[6] - _B4
+# Dormand-Prince 8(5,3) tableau: the coefficients of Hairer's dop853 code,
+# each written as the shortest decimal that rounds to the same double. Row 12
+# of _A holds the 8th-order weights, so stage 12 is f at the new point (first
+# same as last). _E5 and _E3 are the 5th- and 3rd-order error rows; _E3 is
+# the weights minus Hairer's bhh1..bhh3.
+_C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+               0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+               0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0])
+_A = np.zeros((13, 13))
+_A[1, 0] = 0.05260015195876773
+_A[2, :2] = [0.0197250569845379, 0.0591751709536137]
+_A[3, [0, 2]] = [0.02958758547680685, 0.08876275643042054]
+_A[4, [0, 2, 3]] = [0.2413651341592667, -0.8845494793282861, 0.924834003261792]
+_A[5, [0, 3, 4]] = [0.037037037037037035, 0.17082860872947386, 0.12546768756682242]
+_A[6, np.r_[0, 3:6]] = [0.037109375, 0.17025221101954405, 0.06021653898045596,
+                        -0.017578125]
+_A[7, np.r_[0, 3:7]] = [0.03709200011850479, 0.17038392571223998, 0.10726203044637328,
+                        -0.015319437748624402, 0.008273789163814023]
+_A[8, np.r_[0, 3:8]] = [0.6241109587160757, -3.3608926294469414, -0.868219346841726,
+                        27.59209969944671, 20.154067550477894, -43.48988418106996]
+_A[9, np.r_[0, 3:9]] = [0.47766253643826434, -2.4881146199716677, -0.590290826836843,
+                        21.230051448181193, 15.279233632882423, -33.28821096898486,
+                        -0.020331201708508627]
+_A[10, np.r_[0, 3:10]] = [-0.9371424300859873, 5.186372428844064, 1.0914373489967295,
+                          -8.149787010746927, -18.52006565999696, 22.739487099350505,
+                          2.4936055526796523, -3.0467644718982196]
+_A[11, np.r_[0, 3:11]] = [2.273310147516538, -10.53449546673725, -2.0008720582248625,
+                          -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+                          -8.87285693353063, 12.360567175794303, 0.6433927460157636]
+_A[12, np.r_[0, 5:12]] = [0.054293734116568765, 4.450312892752409, 1.8915178993145003,
+                          -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+                          0.20136540080403034, 0.04471061572777259]
+_E5 = np.zeros(13)
+_E5[np.r_[0, 5:12]] = [0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
+                       1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+                       0.08192320648511571, -0.022355307863886294]
+_E3 = _A[12].copy()
+_E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-# PI controller exponents for a 4th-order error estimate.
-_K_I = 0.7 / 5.0
-_K_P = 0.4 / 5.0
+# PI controller exponents; Hairer's error norm scales like dt^8.
+_K_I = 0.7 / 8.0
+_K_P = 0.4 / 8.0
 
 
 def _pack(state):
@@ -58,17 +80,20 @@ def _f(y, t, params, out):
     np.concatenate([deriv.dn_k, deriv.dd_k.real, deriv.dd_k.imag], out=out)
 
 
-def _error_norm(err, y, y_new, rtol, atol):
+def _error_norm(k, dt, y, y_new, rtol, atol):
+    """Hairer's DOP853 norm: the 5th-order estimate damped by the 3rd-order one."""
     scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    e5, e3 = (float(np.sum((row @ k / scale) ** 2)) for row in (_E5, _E3))
+    return abs(dt) * e5 / np.sqrt((e5 + 0.01 * e3) * y.size) if e5 or e3 else 0.0
 
 
 class AdaptiveStepper:
-    """Embedded 5(4) stepper with PI control and FSAL reuse.
+    """Embedded 8(5,3) stepper with PI control and FSAL reuse.
 
-    The seven stage derivatives live in one (7, size) buffer whose row 0
+    The thirteen stage derivatives live in one (13, size) buffer whose row 0
     holds f at the current point: initial_step fills it, and every accepted
-    step refills it from the last stage.
+    step refills it from the last stage. A step attempt, accepted or not,
+    costs twelve RHS evaluations; n_evals counts them all.
     """
 
     def __init__(self, params, size, rtol=1e-9, atol=1e-12, max_step=np.inf):
@@ -81,13 +106,15 @@ class AdaptiveStepper:
         self.min_step = 1e-12 / params.grid.bandwidth
         self.n_steps = 0
         self.n_rejected = 0
+        self.n_evals = 0
         self._err_prev = 1.0
-        self._k = np.empty((7, size))
+        self._k = np.empty((13, size))
 
     def initial_step(self, y, t):
         """Evaluate f(y, t) into the first stage; returns a first step size."""
         f0 = self._k[0]
         _f(y, t, self.params, f0)
+        self.n_evals += 1
         scale = self.atol + self.rtol * np.abs(y)
         d0 = np.sqrt(np.mean((y / scale) ** 2))
         d1 = np.sqrt(np.mean((f0 / scale) ** 2))
@@ -107,22 +134,23 @@ class AdaptiveStepper:
             hit = dt_try >= t_limit - t
             if hit:
                 dt_try = t_limit - t
-            for i in range(1, 7):
+            for i in range(1, 13):
                 y_new = y + dt_try * (_A[i, :i] @ k[:i])
                 _f(y_new, t + _C[i] * dt_try, self.params, k[i])
-            err = _error_norm(dt_try * (_E @ k), y, y_new, self.rtol, self.atol)
+            self.n_evals += 12
+            err = _error_norm(k, dt_try, y, y_new, self.rtol, self.atol)
             if err <= 1.0:
                 self.n_steps += 1
                 err_floor = max(err, 1e-16)
                 factor = min(_MAX_FACTOR,
                              _SAFETY * err_floor ** -_K_I * self._err_prev ** _K_P)
                 self._err_prev = err_floor
-                k[0] = k[6]
+                k[0] = k[12]
                 t_new = t_limit if hit else t + dt_try
                 dt_next = dt if hit else dt_try * factor
                 return y_new, t_new, dt_next
             self.n_rejected += 1
-            dt = dt_try * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            dt = dt_try * max(_MIN_FACTOR, _SAFETY * err ** -0.125)
             if dt < self.min_step:
                 raise StepUnderflowError(f"step size underflow at t={t}", t=t)
 
@@ -267,6 +295,7 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12, max_step=np.i
             "bandwidth": grid.bandwidth,
             "params": {"u": params.u, "gamma": params.gamma, "pump": params.pump,
                        "alpha_loss": params.alpha_loss, "alpha_pump": params.alpha_pump},
-            "integrator": {"rtol": rtol, "atol": atol, "max_step": max_step,
-                           "steps": stepper.n_steps, "rejections": stepper.n_rejected},
+            "integrator": {"method": "DOP853", "rtol": rtol, "atol": atol,
+                           "max_step": max_step, "steps": stepper.n_steps,
+                           "rejections": stepper.n_rejected, "rhs_evals": stepper.n_evals},
         })

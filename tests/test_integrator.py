@@ -45,40 +45,55 @@ def test_protocol_validation():
                      Protocol(t_max=8.0, sample_times=np.array([1.0, 6.0, 8.0])))
 
 
-def test_fixed_step_is_fourth_order():
-    # The error estimate of the adaptive stepper is the difference of the
-    # 5th-order weights _A[6] and the embedded 4th-order weights
-    # _A[6] - _E. Stepping at a fixed dt with either set must show its
-    # global order: halving dt shrinks the error by ~2^4 and ~2^5.
+def test_fixed_step_order():
+    # The stepper advances with the 8th-order weights _A[12]; its error norm
+    # reads the embedded 5th- and 3rd-order solutions _A[12] - _E5 and
+    # _A[12] - _E3. Stepping at a fixed dt with each set must show its
+    # order: one step against two halves shrinks the error by ~2^(p+1).
     grid, ground, params = loss_setup(16, alpha=0.5)
     t_end = 0.5
 
     def integrate(n_steps, weights):
         y = integrator._pack(ground)
-        k = np.empty((7, y.size))
+        k = np.empty((12, y.size))
         dt = t_end / n_steps
         for step in range(n_steps):
             t = step * dt
             integrator._f(y, t, params, k[0])
-            for i in range(1, 7):
+            for i in range(1, 12):
                 integrator._f(y + dt * (integrator._A[i, :i] @ k[:i]),
                               t + integrator._C[i] * dt, params, k[i])
-            y = y + dt * (weights @ k)
+            y = y + dt * (weights[:12] @ k)
         return y
 
-    fine = integrate(256, integrator._A[6])
-    for weights, low, high in ((integrator._A[6] - integrator._E, 3.7, 4.3),
-                               (integrator._A[6], 4.7, 5.3)):
-        err = [np.max(np.abs(integrate(n, weights) - fine)) for n in (8, 16)]
+    b = integrator._A[12]
+    fine = integrate(64, b)
+    for weights, low, high in ((b, 7.0, 9.0), (b - integrator._E5, 4.7, 5.7),
+                               (b - integrator._E3, 2.7, 3.4)):
+        err = [np.max(np.abs(integrate(n, weights) - fine)) for n in (1, 2)]
         order = np.log2(err[0] / err[1])
         assert low < order < high, (low, order)
 
 
+def test_tableau_matches_hairer_dop853():
+    # The embedded tableau must equal Hairer's dop853 values bit for bit;
+    # scipy's DOP853 carries the same values.
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    assert np.array_equal(integrator._A[:12, :12], ref.A[:12, :12])
+    assert np.array_equal(integrator._A[12, :12], ref.B)
+    assert not np.triu(integrator._A).any()
+    assert np.array_equal(integrator._C[:12], ref.C[:12]) and integrator._C[12] == 1.0
+    assert np.array_equal(integrator._E3, ref.E3)
+    assert np.array_equal(integrator._E5, ref.E5)
+
+
 def test_adaptive_step_controls_error():
     # Tightening rtol must shrink the error against a tight reference, and
-    # the error must stay below the requested tolerance.
-    grid, ground, params = loss_setup(16, alpha=0.5)
-    protocol = Protocol(t_max=4.0, sample_times=np.array([1.0, 2.0, 4.0]))
+    # the error must stay below the requested tolerance. The run must be
+    # long enough that the 8th-order stepper takes tens of steps, or the
+    # errors sit at the floor of a handful of steps.
+    grid, ground, params = loss_setup(64, alpha=0.5)
+    protocol = Protocol(t_max=40.0, sample_times=np.array([10.0, 20.0, 40.0]))
     ref = run_protocol(ground, params, protocol, rtol=1e-13, atol=1e-15)
     errs, steps = [], []
     for rtol in (1e-5, 1e-7, 1e-9):
@@ -91,19 +106,19 @@ def test_adaptive_step_controls_error():
     assert steps[0] < steps[1] < steps[2], steps
 
 
-def test_dp5_global_order():
+def test_dop853_global_order():
     # rtol = atol = 1 accepts every step, so max_step = h sets the step
-    # size; the end-point error of the 5th-order solution shrinks as h^5.
+    # size; the end-point error of the 8th-order solution shrinks as h^8.
     grid, ground, params = loss_setup(16, alpha=0.5)
     protocol = Protocol(t_max=4.0, sample_times=np.array([4.0]))
     ref = run_protocol(ground, params, protocol, rtol=1e-13, atol=1e-15)
     err = []
-    for h in (0.4, 0.2, 0.1):
+    for h in (1.0, 0.5, 0.25):
         got = run_protocol(ground, params, protocol, rtol=1.0, atol=1.0, max_step=h)
         assert got.metadata["integrator"]["rejections"] == 0
         err.append(max(abs(got.n[-1] - ref.n[-1]), abs(got.delta[-1] - ref.delta[-1])))
     orders = np.log2(np.array(err[:-1]) / np.array(err[1:]))
-    assert np.all((4.5 < orders) & (orders < 6.0)), orders
+    assert np.all((7.0 < orders) & (orders < 9.0)), orders
 
 
 def test_stationary_state_stays_put():
@@ -185,6 +200,25 @@ def test_pure_loss_density_closed_form():
     assert np.all(series.abs_delta == 0.0)
 
 
+def test_noclick_pure_loss_closed_form():
+    # alpha = 0 with Delta = 0 and uniform n_k = x: the no-click generator
+    # reduces to dx/dt = -2 Gamma x^2 (1 - x), solved implicitly by
+    # F(x(t)) = F(x0) - 2 Gamma t with F(x) = -1/x + ln(x / (1 - x)).
+    grid = build_flat_band(1.0, 8)
+    state = BcsState(t=0.0, n_k=np.full(8, 0.4), d_k=np.zeros(8, dtype=complex))
+    params = SystemParams(u=1.0, gamma=0.3, pump=0.0, alpha_loss=0.0,
+                          alpha_pump=0.0, grid=grid)
+    protocol = Protocol(t_max=10.0, sample_times=linear_sample_times(10.0, 20))
+    series = run_protocol(state, params, protocol, rtol=1e-12, atol=1e-15)
+
+    def big_f(x):
+        return -1.0 / x + np.log(x / (1.0 - x))
+
+    x = 0.5 * series.n
+    assert np.max(np.abs(big_f(x) - (big_f(0.4) - 2.0 * 0.3 * series.t))) < 1e-9
+    assert np.all(series.abs_delta == 0.0)
+
+
 def test_switch_time_delays_dissipation():
     # Before switch_time the rates are off, so the ground state is frozen;
     # afterwards the quench proceeds as if started there.
@@ -224,4 +258,18 @@ def test_integrator_metadata():
     stats = series.metadata["integrator"]
     assert stats["steps"] > 0
     assert stats["rtol"] == 1e-9
+    assert stats["method"] == "DOP853"
+    # One evaluation starts the run; every attempted step costs twelve.
+    assert stats["rhs_evals"] == 1 + 12 * (stats["steps"] + stats["rejections"])
     assert series.metadata["params"]["gamma"] == params.gamma
+
+
+def test_switch_time_costs_one_evaluation():
+    # The rates jump at switch_time, so the stale first stage is evaluated
+    # again there: one evaluation more than the steps alone account for.
+    grid, ground, params = loss_setup(32)
+    series = run_protocol(ground, params,
+                          Protocol(t_max=5.0, sample_times=np.array([5.0]),
+                                   switch_time=1.0))
+    stats = series.metadata["integrator"]
+    assert stats["rhs_evals"] == 2 + 12 * (stats["steps"] + stats["rejections"])
