@@ -217,21 +217,6 @@ def _scan_one(cfg_and_path):
     }
 
 
-def _worker_count(args):
-    if getattr(args, "workers", None):
-        return args.workers
-    env = os.environ.get("HYBRIDBCS_WORKERS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigurationError("HYBRIDBCS_WORKERS must be an integer")
-        if workers < 1:
-            raise ConfigurationError("HYBRIDBCS_WORKERS must be at least 1")
-        return workers
-    return 1
-
-
 def cmd_scan(args):
     cfg = _load_config(args.config)
     if args.axis not in _AXIS_KEYS:
@@ -242,6 +227,8 @@ def cmd_scan(args):
         raise ConfigurationError(f"invalid scan values: {args.values}")
     if not values:
         raise ConfigurationError("scan needs at least one value")
+    if args.workers < 1:
+        raise ConfigurationError(f"--workers must be at least 1, got {args.workers}")
     section, key = _AXIS_KEYS[args.axis]
 
     base = cfg["output"]["path"]
@@ -257,10 +244,10 @@ def cmd_scan(args):
         run_cfg["output"]["path"] = path
         jobs.append((run_cfg, path))
 
-    workers = _worker_count(args)
     rows = []
     failures = 0
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    serial = args.workers == 1
+    with nullcontext() if serial else ProcessPoolExecutor(max_workers=args.workers) as pool:
         if pool is None:
             results = [partial(_scan_one, job) for job in jobs]
         else:
@@ -349,8 +336,8 @@ def build_parser():
     p_scan.add_argument("--axis", required=True, choices=sorted(_AXIS_KEYS))
     p_scan.add_argument("--values", required=True,
                         help="comma-separated list, e.g. 1.0,0.5,0.1")
-    p_scan.add_argument("--workers", type=int, default=None,
-                        help="worker pool size (default: HYBRIDBCS_WORKERS or 1)")
+    p_scan.add_argument("--workers", type=int, default=1,
+                        help="worker pool size (default: 1)")
     p_scan.set_defaults(func=cmd_scan)
 
     p_fit = sub.add_parser("fit", help="power-law fit of one CSV column")

@@ -26,7 +26,7 @@ def _gap_lhs(grid, u, gap):
     return u * np.sum(grid.weights / (2.0 * e_k))
 
 
-def solve_gap(grid, u, residual_tol=1e-13):
+def solve_gap(grid, u):
     """Solve the BCS gap equation on the grid by bisection.
 
     The right-hand side |U| sum_k w_k/(2 E_k) is strictly decreasing in the
@@ -48,7 +48,7 @@ def solve_gap(grid, u, residual_tol=1e-13):
             lo = mid
         else:
             hi = mid
-        if abs(val - 1.0) < residual_tol and hi - lo < 1e-15 * grid.bandwidth:
+        if abs(val - 1.0) < 1e-13 and hi - lo < 1e-15 * grid.bandwidth:
             break
     gap = 0.5 * (lo + hi)
     residual = abs(1.0 - _gap_lhs(grid, u, gap))

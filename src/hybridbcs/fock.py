@@ -99,9 +99,3 @@ def pair_condensate_state(c_ops, pairs, occupations, pair_amplitudes):
             rho = rho @ (np.eye(dim) - dagger(c) @ c)
     return rho
 
-
-def number_operator(c_ops):
-    total = np.zeros_like(c_ops[0])
-    for c in c_ops:
-        total += dagger(c) @ c
-    return total

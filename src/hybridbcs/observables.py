@@ -9,6 +9,8 @@ from .equilibrium import build_ground_state, solve_gap
 from .errors import ConfigurationError
 from .integrator import Protocol, log_sample_times, run_protocol
 
+_MIN_FIT_SAMPLES = 10
+
 
 @dataclass(frozen=True)
 class PowerLawFit:
@@ -20,7 +22,7 @@ class PowerLawFit:
     window: tuple
 
 
-def fit_power_law(t, y, window, min_samples=10):
+def fit_power_law(t, y, window):
     """Fit y ~ t^p on the window (t_lo, t_hi); all samples must be positive."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -28,9 +30,9 @@ def fit_power_law(t, y, window, min_samples=10):
     if not t_lo < t_hi:
         raise ConfigurationError("fit window must satisfy t_lo < t_hi")
     mask = (t >= t_lo) & (t <= t_hi)
-    if np.count_nonzero(mask) < min_samples:
+    if np.count_nonzero(mask) < _MIN_FIT_SAMPLES:
         raise ConfigurationError(
-            f"fewer than {min_samples} samples in window ({t_lo}, {t_hi})")
+            f"fewer than {_MIN_FIT_SAMPLES} samples in window ({t_lo}, {t_hi})")
     if np.any(y[mask] <= 0):
         raise ConfigurationError("power-law fit requires strictly positive data")
     lx = np.log(t[mask])
@@ -134,7 +136,7 @@ def collapse_index(abs_delta):
 
 
 def zeno_scan(gammas, grid, u, alpha=0.0, t_span=(1e-2, 1e3), samples=400,
-              slope_threshold=0.02, rtol=1e-9, atol=1e-12):
+              slope_threshold=0.02):
     """Plateau density of the pure-loss quench for each loss rate.
 
     Runs the loss quench at the given alpha (default: the no-click limit)
@@ -149,7 +151,7 @@ def zeno_scan(gammas, grid, u, alpha=0.0, t_span=(1e-2, 1e3), samples=400,
     for gamma in gammas:
         params = SystemParams(u=u, gamma=gamma, pump=0.0,
                               alpha_loss=alpha, alpha_pump=alpha, grid=grid)
-        series = run_protocol(ground, params, protocol, rtol=rtol, atol=atol)
+        series = run_protocol(ground, params, protocol)
         start = collapse_index(series.abs_delta)
         report = detect_plateau(series.t[start:], series.n[start:],
                                 slope_threshold=slope_threshold, prefer="latest")

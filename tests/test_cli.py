@@ -247,7 +247,7 @@ def test_scan_propagates_programming_errors(tmp_path, monkeypatch):
                   "--values", "0.08,0.16", "--workers", "1"])
 
 
-def test_scan_workers_give_identical_output(tmp_path, monkeypatch):
+def test_scan_workers_give_identical_output(tmp_path):
     cfg = base_config(tmp_path, samples=15)
     cfg["output"]["path"] = str(tmp_path / "serial.csv")
     config_path = write_config(tmp_path, cfg, "serial.json")
@@ -256,29 +256,20 @@ def test_scan_workers_give_identical_output(tmp_path, monkeypatch):
 
     cfg["output"]["path"] = str(tmp_path / "pooled.csv")
     config_path = write_config(tmp_path, cfg, "pooled.json")
-    monkeypatch.setenv("HYBRIDBCS_WORKERS", "2")
     assert cli.main(["scan", "--config", config_path, "--axis", "alpha",
-                     "--values", "1.0,0.5"]) == 0
+                     "--values", "1.0,0.5", "--workers", "2"]) == 0
     for value in ("1", "0.5"):
         serial = (tmp_path / f"serial_alpha_{value}.csv").read_bytes()
         pooled = (tmp_path / f"pooled_alpha_{value}.csv").read_bytes()
         assert serial == pooled
 
 
-def test_worker_count_env_validation(monkeypatch):
-    class Args:
-        workers = None
-
-    monkeypatch.setenv("HYBRIDBCS_WORKERS", "3")
-    assert cli._worker_count(Args()) == 3
-    monkeypatch.setenv("HYBRIDBCS_WORKERS", "zero")
-    with pytest.raises(ConfigurationError):
-        cli._worker_count(Args())
-    monkeypatch.setenv("HYBRIDBCS_WORKERS", "0")
-    with pytest.raises(ConfigurationError):
-        cli._worker_count(Args())
-    monkeypatch.delenv("HYBRIDBCS_WORKERS")
-    assert cli._worker_count(Args()) == 1
+def test_scan_workers_below_one_exit_code(tmp_path):
+    config_path = write_config(tmp_path, base_config(tmp_path, samples=15))
+    for workers in ("0", "-3"):
+        assert cli.main(["scan", "--config", config_path, "--axis", "gamma",
+                         "--values", "0.08", "--workers", workers]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "out_gamma_summary.csv").exists()
 
 
 def test_oracle_command(capsys):
