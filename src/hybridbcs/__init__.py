@@ -27,7 +27,6 @@ from .observables import (
     exponent_drift,
     fit_power_law,
     population_inversion_time,
-    zeno_scan,
 )
 from .errors import (
     BlowupError,
@@ -72,5 +71,4 @@ __all__ = [
     "rhs_total",
     "run_protocol",
     "solve_gap",
-    "zeno_scan",
 ]

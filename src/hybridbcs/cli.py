@@ -36,8 +36,7 @@ EXIT_ORACLE = 4
 _SCHEMA = {
     "band": {"width": float, "n_modes": int},
     "interaction": {"u_over_w": float},
-    "dissipation": {"gamma_over_u": float, "p_over_u": float, "alpha": float,
-                    "alpha_pump": float},
+    "dissipation": {"gamma_over_u": float, "p_over_u": float, "alpha": float},
     "time": {"t_max_w": float, "samples": int, "spacing": str},
     "integrator": {"rtol": float, "atol": float, "max_step_w": float},
     "output": {"path": str, "track_energies": list},
@@ -87,7 +86,6 @@ def resolve_config(raw):
     """Validate and fill defaults; returns a fully explicit config dict."""
     validate_config(raw)
     cfg = {section: dict(content) for section, content in raw.items()}
-    cfg["dissipation"].setdefault("alpha_pump", cfg["dissipation"]["alpha"])
     integ = dict(_INTEGRATOR_DEFAULTS)
     # No step can exceed the horizon, so t_max_w bounds the step as
     # infinity would, and keeps the sidecar strict JSON.
@@ -112,9 +110,7 @@ def assemble(cfg):
     u = cfg["interaction"]["u_over_w"] * width
     dis = cfg["dissipation"]
     params = SystemParams(u=u, gamma=dis["gamma_over_u"] * u,
-                          pump=dis["p_over_u"] * u,
-                          alpha_loss=dis["alpha"], alpha_pump=dis["alpha_pump"],
-                          grid=grid)
+                          pump=dis["p_over_u"] * u, alpha=dis["alpha"], grid=grid)
     t_max = cfg["time"]["t_max_w"] / width
     samples = cfg["time"]["samples"]
     if samples < 2:
@@ -207,7 +203,7 @@ def _scan_one(cfg_and_path):
     except ConfigurationError:
         exponent_d = float("nan")
     start = collapse_index(series.abs_delta)
-    plateau = detect_plateau(series.t[start:], series.n[start:], prefer="latest")
+    plateau = detect_plateau(series.t[start:], series.n[start:])
     return {
         "n_final": float(series.n[-1]),
         "abs_delta_final": float(series.abs_delta[-1]),
@@ -238,8 +234,6 @@ def cmd_scan(args):
     for value in values:
         run_cfg = json.loads(json.dumps(cfg))
         run_cfg[section][key] = value
-        if args.axis == "alpha" and "alpha_pump" not in cfg["dissipation"]:
-            run_cfg["dissipation"]["alpha_pump"] = value
         path = f"{root}_{args.axis}_{value:g}{ext}"
         run_cfg["output"]["path"] = path
         jobs.append((run_cfg, path))
@@ -307,10 +301,7 @@ def cmd_fit(args):
 
 
 def cmd_oracle(args):
-    if args.sites not in (2, 3):
-        raise ConfigurationError("oracle supports 2 or 3 sites only")
-    reports = oracle.run_all_checks(seeds=args.seeds, n_sites=args.sites,
-                                    corrupt=args.corrupt)
+    reports = oracle.run_all_checks(seeds=args.seeds, n_sites=args.sites)
     for report in reports:
         print(report)
     if all(report.passed for report in reports):
@@ -349,8 +340,6 @@ def build_parser():
     p_oracle = sub.add_parser("oracle", help="run the exact-cluster validation")
     p_oracle.add_argument("--seeds", type=int, default=20)
     p_oracle.add_argument("--sites", type=int, default=2)
-    p_oracle.add_argument("--corrupt", choices=("occupation", "pairing"),
-                          default=None, help=argparse.SUPPRESS)
     p_oracle.set_defaults(func=cmd_oracle)
     return parser
 

@@ -21,24 +21,22 @@ from .lattice import BandGrid
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Interaction, rates and hybrid parameters for one run.
+    """Interaction, rates and the hybrid parameter alpha of one run.
 
-    alpha_loss and alpha_pump may differ in principle; all protocols in this
-    package use alpha_loss == alpha_pump.
+    alpha weights the recycling term of the loss and the pump jumps alike.
     """
 
     u: float
     gamma: float
     pump: float
-    alpha_loss: float
-    alpha_pump: float
+    alpha: float
     grid: BandGrid
 
     def __post_init__(self):
         if self.u < 0 or self.gamma < 0 or self.pump < 0:
             raise ConfigurationError("u, gamma and pump must be non-negative")
-        if not (0.0 <= self.alpha_loss <= 1.0) or not (0.0 <= self.alpha_pump <= 1.0):
-            raise ConfigurationError("alpha parameters must lie in [0, 1]")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigurationError("alpha must lie in [0, 1]")
 
 
 @dataclass
@@ -98,8 +96,8 @@ def rhs_total(state, params):
         dn_k = -2 Im(Phi Delta_k*) - Gamma n n_k + 2 P hole h_k
         dDelta_k = (2i eps_k - Gamma n - 2 P hole) Delta_k - i Phi (2 n_k - 1)
 
-    and the corrections enter with c_l = Gamma (alpha_loss - 1) and
-    c_p = P (alpha_pump - 1):
+    and the corrections enter with c_l = Gamma (alpha - 1) and
+    c_p = P (alpha - 1):
 
         dn_k += -c_l n (n_k^2 - |Delta_k|^2) + 2 c_p hole (h_k^2 - |Delta_k|^2)
                 + 4 Re(Delta Delta_k*) (c_p h_k - c_l n_k)
@@ -119,8 +117,8 @@ def rhs_total(state, params):
           - gamma * n * n_k + 2.0 * pump * hole * h_k)
     dd = ((2j * grid.energies - (gamma * n + 2.0 * pump * hole)) * d_k
           - 1j * phi * (2.0 * n_k - 1.0))
-    c_loss = gamma * (params.alpha_loss - 1.0)
-    c_pump = pump * (params.alpha_pump - 1.0)
+    c_loss = gamma * (params.alpha - 1.0)
+    c_pump = pump * (params.alpha - 1.0)
     if c_loss != 0.0 or c_pump != 0.0:
         abs2 = d_k.real ** 2 + d_k.imag ** 2
         re_dd = delta.real * d_k.real + delta.imag * d_k.imag

@@ -64,6 +64,10 @@ _MAX_FACTOR = 10.0
 # PI controller exponents; Hairer's error norm scales like dt^8.
 _K_I = 0.7 / 8.0
 _K_P = 0.4 / 8.0
+# A run may take _BUDGET_BASE + samples + _BUDGET_PER_WT W (t_max - t0) steps,
+# rejections included; converged runs take about 10 per unit W t at rtol 1e-12.
+_BUDGET_BASE = 1000
+_BUDGET_PER_WT = 100
 
 
 def _pack(state):
@@ -262,9 +266,14 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12, max_step=np.i
     y = _pack(initial)
     stepper = AdaptiveStepper(params, y.size, rtol=rtol, atol=atol, max_step=max_step)
     t = initial.t
+    budget = (_BUDGET_BASE + n_samples
+              + _BUDGET_PER_WT * grid.bandwidth * (protocol.t_max - t))
     dt = stepper.initial_step(y, t)
     for i, t_sample in enumerate(protocol.sample_times):
         while t < t_sample:
+            if stepper.n_steps + stepper.n_rejected > budget:
+                raise StepUnderflowError(
+                    f"step budget {budget:.0f} exhausted at t={t}", t=t)
             y, t, dt = stepper.step(y, t, dt, t_sample)
         record(i, _unpack(y, t))
 
@@ -276,7 +285,7 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12, max_step=np.i
         metadata={
             "bandwidth": grid.bandwidth,
             "params": {"u": params.u, "gamma": params.gamma, "pump": params.pump,
-                       "alpha_loss": params.alpha_loss, "alpha_pump": params.alpha_pump},
+                       "alpha": params.alpha},
             "integrator": {"method": "DOP853", "rtol": rtol, "atol": atol,
                            "max_step": max_step, "steps": stepper.n_steps,
                            "rejections": stepper.n_rejected, "rhs_evals": stepper.n_evals},

@@ -1,15 +1,16 @@
-"""Post-processing: power-law fits, plateau detection, Zeno scans."""
+"""Post-processing: power-law fits, plateau detection, inversion times."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemParams
-from .equilibrium import build_ground_state, solve_gap
 from .errors import ConfigurationError
-from .integrator import Protocol, log_sample_times, run_protocol
 
 _MIN_FIT_SAMPLES = 10
+# Plateau rule: log-slope bound, least span and slope-window span (time ratios).
+_PLATEAU_SLOPE = 0.02
+_PLATEAU_MIN_RATIO = 2.0
+_PLATEAU_SMOOTH_RATIO = 2.0
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ def exponent_drift(t, y, window):
 
 @dataclass(frozen=True)
 class PlateauReport:
-    """Longest low-log-slope window of a (log-sampled) series."""
+    """Latest low-log-slope window of a (log-sampled) series."""
 
     found: bool
     value: float
@@ -66,53 +67,46 @@ class PlateauReport:
     slope_bound: float
 
 
-def detect_plateau(t, y, slope_threshold=0.02, min_window_ratio=2.0,
-                   smooth_ratio=2.0, prefer="longest"):
-    """Window where |d ln y / d ln t| stays below slope_threshold.
+def _local_log_slopes(lx, ly):
+    """Least-squares slope of ly on lx over each sample's centered window of
+    _PLATEAU_SMOOTH_RATIO in time, from cumulative sums; a central difference
+    where the window holds fewer than 3 samples. lx must increase."""
+    half = 0.5 * np.log(_PLATEAU_SMOOTH_RATIO)
+    lo = np.searchsorted(lx, lx - half, side="left")
+    hi = np.searchsorted(lx, lx + half, side="right")
+    sums = [np.concatenate(([0.0], np.cumsum(v))) for v in (lx, ly, lx * lx, lx * ly)]
+    sx, sy, sxx, sxy = (s[hi] - s[lo] for s in sums)
+    count = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (count * sxy - sx * sy) / (count * sxx - sx * sx)
+    sparse = count < 3
+    slope[sparse] = np.gradient(ly, lx)[sparse]
+    return slope
+
+
+def detect_plateau(t, y):
+    """Latest window where |d ln y / d ln t| stays below _PLATEAU_SLOPE.
 
     The local slope is a least-squares line on (ln t, ln y) over a centered
-    window spanning a factor smooth_ratio in time, which averages out the
-    persistent oscillations the no-click dynamics rides on top of a flat
-    trend; a central finite difference is the fallback where the window is
-    too sparse. A plateau must span at least min_window_ratio in time. With
-    prefer="longest" the widest window (in log time) wins; with
-    prefer="latest" the last one does, which skips an initial frozen
-    transient in favor of the late quasi-steady regime. Returns
-    found=False when no qualifying window exists.
+    window spanning a factor _PLATEAU_SMOOTH_RATIO in time, which averages
+    out the persistent oscillations the no-click dynamics rides on top of a
+    flat trend (see _local_log_slopes). A plateau must span at least
+    _PLATEAU_MIN_RATIO in time. The last such window wins, which skips an
+    initial frozen transient in favor of the late quasi-steady regime.
+    t must increase. Returns found=False when no qualifying window exists.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0) or len(t) < 3:
         return PlateauReport(False, np.nan, (np.nan, np.nan), np.nan)
-    lx = np.log(t)
-    ly = np.log(y)
-    fallback = np.gradient(ly, lx)
-    half = 0.5 * np.log(smooth_ratio)
-    slope = np.empty(len(t))
-    for i in range(len(t)):
-        mask = np.abs(lx - lx[i]) <= half
-        if np.count_nonzero(mask) < 3:
-            slope[i] = fallback[i]
-        else:
-            slope[i] = np.polyfit(lx[mask], ly[mask], 1)[0]
-    ok = np.abs(slope) <= slope_threshold
-    best = None
-    i = 0
-    while i < len(ok):
-        if not ok[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(ok) and ok[j + 1]:
-            j += 1
-        if t[j] >= min_window_ratio * t[i]:
-            span = lx[j] - lx[i]
-            if best is None or prefer == "latest" or span > best[0]:
-                best = (span, i, j)
-        i = j + 1
-    if best is None:
+    slope = _local_log_slopes(np.log(t), np.log(y))
+    ok = np.abs(slope) <= _PLATEAU_SLOPE
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], ok.astype(int), [0]))))
+    starts, ends = edges[0::2], edges[1::2] - 1
+    wide = np.flatnonzero(t[ends] >= _PLATEAU_MIN_RATIO * t[starts])
+    if len(wide) == 0:
         return PlateauReport(False, np.nan, (np.nan, np.nan), np.nan)
-    _, i, j = best
+    i, j = starts[wide[-1]], ends[wide[-1]]
     return PlateauReport(
         found=True,
         value=float(np.mean(y[i:j + 1])),
@@ -133,30 +127,6 @@ def collapse_index(abs_delta):
     abs_delta = np.asarray(abs_delta, dtype=float)
     collapsed = np.flatnonzero(abs_delta < 1e-2 * abs_delta[0])
     return int(collapsed[0]) if len(collapsed) else 0
-
-
-def zeno_scan(gammas, grid, u, alpha=0.0, t_span=(1e-2, 1e3), samples=400,
-              slope_threshold=0.02):
-    """Plateau density of the pure-loss quench for each loss rate.
-
-    Runs the loss quench at the given alpha (default: the no-click limit)
-    from the BCS ground state and reports the detected quasi-steady plateau
-    per rate; times are in units of 1/W for bandwidth-1 grids.
-    """
-    gap = solve_gap(grid, u)
-    ground = build_ground_state(grid, gap)
-    t_lo, t_hi = t_span
-    protocol = Protocol(t_max=t_hi, sample_times=log_sample_times(t_lo, t_hi, samples))
-    results = []
-    for gamma in gammas:
-        params = SystemParams(u=u, gamma=gamma, pump=0.0,
-                              alpha_loss=alpha, alpha_pump=alpha, grid=grid)
-        series = run_protocol(ground, params, protocol)
-        start = collapse_index(series.abs_delta)
-        report = detect_plateau(series.t[start:], series.n[start:],
-                                slope_threshold=slope_threshold, prefer="latest")
-        results.append((gamma, report))
-    return results
 
 
 def population_inversion_time(series, average_window=10.0):

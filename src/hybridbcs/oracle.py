@@ -23,22 +23,21 @@ def exact_hybrid_rhs(rho, hamiltonian, jumps, alpha, observable):
 
     Three contributions: the commutator term, the alpha-weighted recycling
     term, and the (alpha - 1) anticommutator term minus its disconnected
-    (normalization) part. `alpha` may be a scalar or a per-jump sequence.
+    (normalization) part; one alpha weights every jump.
     """
     dim = rho.shape[0]
     if hamiltonian.shape[0] != dim or observable.shape[0] != dim:
         raise ConfigurationError("operator dimensions do not match the state")
-    alphas = np.broadcast_to(alpha, (len(jumps),)) if len(jumps) else []
     tr = np.trace(rho)
     ev = lambda op: np.trace(rho @ op) / tr
     total = -1j * ev(fock.commutator(observable, hamiltonian))
-    for jump, a in zip(jumps, alphas):
+    for jump in jumps:
         jd = fock.dagger(jump)
         jdj = jd @ jump
-        total += 0.5 * a * (ev(jd @ fock.commutator(observable, jump))
-                            - ev(fock.commutator(observable, jd) @ jump))
-        total += 0.5 * (a - 1.0) * (ev(fock.anticommutator(jdj, observable))
-                                    - 2.0 * ev(jdj) * ev(observable))
+        total += 0.5 * alpha * (ev(jd @ fock.commutator(observable, jump))
+                                - ev(fock.commutator(observable, jd) @ jump))
+        total += 0.5 * (alpha - 1.0) * (ev(fock.anticommutator(jdj, observable))
+                                        - 2.0 * ev(jdj) * ev(observable))
     return total
 
 
@@ -121,7 +120,7 @@ class MomentumCluster:
         return h
 
     def jump_operators(self, gamma, pump):
-        """Per-site pair-loss and pair-pump jump operators with their alphas' slots."""
+        """Per-site pair-loss and pair-pump jump operators, as (losses, pumps)."""
         losses, pumps = [], []
         for i in range(self.n_sites):
             if gamma > 0:
@@ -147,7 +146,7 @@ class CheckReport:
         return line + (f" -- {self.detail}" if self.detail else "")
 
 
-def check_eom_equivalence(state, params, corrupt=None):
+def check_eom_equivalence(state, params):
     """Compare rhs_total against the exact hybrid EOM on the matching cluster.
 
     The grid must have one mode per cluster momentum with equal weights 1/L.
@@ -164,26 +163,19 @@ def check_eom_equivalence(state, params, corrupt=None):
     h = cluster.mean_field_hamiltonian(delta, params.u)
     losses, pumps = cluster.jump_operators(params.gamma, params.pump)
     jumps = losses + pumps
-    alphas = [params.alpha_loss] * len(losses) + [params.alpha_pump] * len(pumps)
+    alpha = params.alpha
 
     variational = rhs_total(state, params)
-    dn = variational.dn_k.astype(float).copy()
-    dd = variational.dd_k.astype(complex).copy()
-    if corrupt == "occupation":
-        dn = dn + 1e-3
-    elif corrupt == "pairing":
-        dd = dd + 1e-3
-
     worst = (0.0, "")
     for m in range(n_sites):
-        exact_n = exact_hybrid_rhs(rho, h, jumps, alphas, cluster.occupation_operator(m))
-        res = abs(exact_n - dn[m])
+        exact_n = exact_hybrid_rhs(rho, h, jumps, alpha, cluster.occupation_operator(m))
+        res = abs(exact_n - variational.dn_k[m])
         if res > worst[0]:
-            worst = (res, f"operator=n_k mode={m} alpha={params.alpha_loss}")
-        exact_d = exact_hybrid_rhs(rho, h, jumps, alphas, cluster.pairing_operator(m))
-        res = abs(exact_d - dd[m])
+            worst = (res, f"operator=n_k mode={m} alpha={alpha}")
+        exact_d = exact_hybrid_rhs(rho, h, jumps, alpha, cluster.pairing_operator(m))
+        res = abs(exact_d - variational.dd_k[m])
         if res > worst[0]:
-            worst = (res, f"operator=Delta_k mode={m} alpha={params.alpha_loss}")
+            worst = (res, f"operator=Delta_k mode={m} alpha={alpha}")
     return worst
 
 
@@ -207,8 +199,10 @@ def cluster_grid(n_sites, energy_scale=0.5):
                     weights=np.full(n_sites, 1.0 / n_sites), bandwidth=1.0)
 
 
-def run_eom_suite(seeds=20, n_sites=2, u=1.0, tolerance=1e-10, corrupt=None):
+def run_eom_suite(seeds=20, n_sites=2, u=1.0, tolerance=1e-10):
     """EOM equivalence over random states and an (alpha, Gamma, P) grid."""
+    if seeds < 1:
+        raise ConfigurationError(f"oracle needs at least one seed, got {seeds}")
     grid = cluster_grid(n_sites)
     points = [(a, g, p)
               for a in (0.0, 0.5, 1.0)
@@ -222,9 +216,8 @@ def run_eom_suite(seeds=20, n_sites=2, u=1.0, tolerance=1e-10, corrupt=None):
             state.n_k[2] = state.n_k[1]
             state.d_k[2] = state.d_k[1]
         for a, g, p in points:
-            params = SystemParams(u=u, gamma=g, pump=p, alpha_loss=a, alpha_pump=a,
-                                  grid=grid)
-            res, detail = check_eom_equivalence(state, params, corrupt=corrupt)
+            params = SystemParams(u=u, gamma=g, pump=p, alpha=a, grid=grid)
+            res, detail = check_eom_equivalence(state, params)
             if res > worst[0]:
                 worst = (res, f"seed={seed} {detail} gamma={g} pump={p}")
     return CheckReport("eom-equivalence", worst[0] <= tolerance, worst[0],
@@ -335,11 +328,11 @@ def run_hf_suite(seeds=10, tolerance=1e-12):
                        tolerance, worst[1])
 
 
-def _hybrid_liouvillian(rho, hamiltonian, jumps, alphas):
+def _hybrid_liouvillian(rho, hamiltonian, jumps, alpha):
     gen = -1j * fock.commutator(hamiltonian, rho)
-    for jump, a in zip(jumps, alphas):
+    for jump in jumps:
         jd = fock.dagger(jump)
-        gen += a * jump @ rho @ jd - 0.5 * fock.anticommutator(jd @ jump, rho)
+        gen += alpha * jump @ rho @ jd - 0.5 * fock.anticommutator(jd @ jump, rho)
     return gen
 
 
@@ -350,11 +343,10 @@ def check_norm_conserving_equivalence(rho, hamiltonian, jumps, alpha, observable
     The two observable values agree to O(dt^2); trace_defect is
     |Tr L-bar[rho]|, zero for the norm-conserving generator.
     """
-    alphas = np.broadcast_to(alpha, (len(jumps),))
     rho = rho / np.trace(rho)
-    gen = _hybrid_liouvillian(rho, hamiltonian, jumps, alphas)
-    leak = sum((a - 1.0) * fock.expectation(rho, fock.dagger(j) @ j)
-               for j, a in zip(jumps, alphas))
+    gen = _hybrid_liouvillian(rho, hamiltonian, jumps, alpha)
+    leak = sum((alpha - 1.0) * fock.expectation(rho, fock.dagger(j) @ j)
+               for j in jumps)
     gen_bar = gen - rho * leak
     trace_defect = abs(np.trace(gen_bar))
 
@@ -437,12 +429,12 @@ def run_nh_suite(seeds=5, tolerance=1e-8):
                        tolerance, worst[1])
 
 
-def run_all_checks(seeds=20, n_sites=2, corrupt=None):
+def run_all_checks(seeds=20, n_sites=2):
     """All oracle suites; returns a list of CheckReport."""
     if n_sites not in (2, 3):
         raise ConfigurationError("oracle supports 2 or 3 sites only")
     return [
-        run_eom_suite(seeds=seeds, n_sites=n_sites, corrupt=corrupt),
+        run_eom_suite(seeds=seeds, n_sites=n_sites),
         run_hf_suite(seeds=10),
         run_norm_conserving_suite(),
         run_nh_suite(),

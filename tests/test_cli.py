@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from hybridbcs import cli
+from hybridbcs import cli, oracle
+from hybridbcs.dynamics import StateDerivative
 from hybridbcs.errors import ConfigurationError, IntegrationError
 from hybridbcs.observables import collapse_index, detect_plateau
 
@@ -79,7 +80,8 @@ def test_validate_rejects_missing_sections(tmp_path):
 
 def test_resolve_fills_defaults(tmp_path):
     cfg = cli.resolve_config(base_config(tmp_path))
-    assert cfg["dissipation"]["alpha_pump"] == cfg["dissipation"]["alpha"]
+    # One alpha weights losses and pumps; resolving adds no dissipation key.
+    assert cfg["dissipation"] == base_config(tmp_path)["dissipation"]
     assert cfg["integrator"]["rtol"] == 1e-9
     assert cfg["integrator"]["atol"] == 1e-12
     assert cfg["integrator"]["max_step_w"] == cfg["time"]["t_max_w"]
@@ -106,7 +108,7 @@ def test_run_writes_csv_and_sidecar(tmp_path):
 
     sidecar = json.loads((tmp_path / "out.json").read_text(),
                          parse_constant=reject_constant)
-    assert sidecar["config"]["dissipation"]["alpha_pump"] == 1.0
+    assert sidecar["config"]["dissipation"] == cfg["dissipation"]
     assert len(sidecar["grid_checksum"]) == 64
     assert len(sidecar["tracked_modes"]) == 2
     # Requested energies are snapped to grid modes and echoed back.
@@ -184,20 +186,23 @@ def test_scan_summary(tmp_path):
 
 def test_scan_plateau_starts_after_collapse(tmp_path):
     # A no-click loss run first sits frozen near n = 1; the summary's plateau
-    # must come from after the order-parameter collapse, as in zeno_scan.
+    # must come from after the order-parameter collapse. Without losses the
+    # ground state is stationary: the plateau is the whole series at n = 1.
     cfg = base_config(tmp_path, t_max_w=60.0, samples=40)
     cfg["dissipation"]["alpha"] = 0.0
     config_path = write_config(tmp_path, cfg)
     assert cli.main(["scan", "--config", config_path, "--axis", "gamma",
-                     "--values", "0.32"]) == 0
+                     "--values", "0.32,0"]) == 0
     with open(tmp_path / "out_gamma_summary.csv", newline="") as handle:
-        plateau_n = float(list(csv.reader(handle))[1][7])
+        rows = list(csv.reader(handle))[1:]
+    assert abs(float(rows[1][7]) - 1.0) < 1e-7
+    plateau_n = float(rows[0][7])
     header, data = read_csv(tmp_path / "out_gamma_0.32.csv")
     t, n = data[:, header.index("t_w")], data[:, header.index("n")]
     start = collapse_index(data[:, header.index("abs_delta")])
     assert 0 < start < len(t) - 1
     assert detect_plateau(t, n).value > 0.99  # the frozen transient
-    expected = detect_plateau(t[start:], n[start:], prefer="latest")
+    expected = detect_plateau(t[start:], n[start:])
     if expected.found:
         assert plateau_n == expected.value
     else:
@@ -279,10 +284,26 @@ def test_oracle_command(capsys):
     assert "all checks passed" in out
 
 
-def test_oracle_corrupt_exit_code(capsys):
-    assert cli.main(["oracle", "--seeds", "2", "--corrupt", "pairing"]) \
-        == cli.EXIT_ORACLE
+def test_oracle_corrupt_exit_code(capsys, monkeypatch):
+    # A 1e-3 error in dDelta_k must fail the oracle with its exit code.
+    exact = oracle.rhs_total
+
+    def perturbed(state, params):
+        deriv = exact(state, params)
+        return StateDerivative(deriv.dn_k, deriv.dd_k + 1e-3)
+
+    monkeypatch.setattr(oracle, "rhs_total", perturbed)
+    assert cli.main(["oracle", "--seeds", "2"]) == cli.EXIT_ORACLE
     assert "[FAIL]" in capsys.readouterr().out
+
+
+def test_oracle_seeds_below_one_exit_code(capsys):
+    # With no seed the equation-of-motion check would pass without checking.
+    for seeds in ("0", "-2"):
+        assert cli.main(["oracle", "--seeds", seeds]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "[PASS]" not in captured.out
+    assert "at least one seed" in captured.err
 
 
 def test_oracle_bad_sites(capsys):

@@ -29,14 +29,10 @@ def random_state(rng, n_modes, pure=False, margin=0.95):
 def test_params_validation():
     grid = build_flat_band(1.0, 4)
     with pytest.raises(ConfigurationError):
-        SystemParams(u=-1.0, gamma=0.0, pump=0.0, alpha_loss=1.0, alpha_pump=1.0,
-                     grid=grid)
-    with pytest.raises(ConfigurationError):
-        SystemParams(u=1.0, gamma=0.1, pump=0.0, alpha_loss=1.5, alpha_pump=1.0,
-                     grid=grid)
-    with pytest.raises(ConfigurationError):
-        SystemParams(u=1.0, gamma=0.1, pump=0.0, alpha_loss=0.5, alpha_pump=-0.1,
-                     grid=grid)
+        SystemParams(u=-1.0, gamma=0.0, pump=0.0, alpha=1.0, grid=grid)
+    for alpha in (1.5, -0.1):
+        with pytest.raises(ConfigurationError):
+            SystemParams(u=1.0, gamma=0.1, pump=0.0, alpha=alpha, grid=grid)
 
 
 def test_state_shape_validation():
@@ -57,8 +53,7 @@ def test_gap_field():
     # Phi = (-|U| + i(Gamma - P)) Delta.
     grid = build_flat_band(1.0, 4)
     state = BcsState(t=0.0, n_k=np.zeros(4), d_k=np.full(4, 0.3 + 0j))
-    params = SystemParams(u=2.0, gamma=0.5, pump=0.2, alpha_loss=1.0,
-                          alpha_pump=1.0, grid=grid)
+    params = SystemParams(u=2.0, gamma=0.5, pump=0.2, alpha=1.0, grid=grid)
     deriv = rhs_total(state, params)
     phi = -1j * (deriv.dd_k - (2j * grid.energies - 0.4) * state.d_k)
     assert np.max(np.abs(phi - (-2.0 + 0.3j) * 0.3)) < 1e-15
@@ -68,8 +63,7 @@ def test_single_mode_pure_loss():
     # One mode at eps = 0, no pairing: dn_k = -Gamma n n_k with n = 2 n_k.
     grid = single_mode_grid()
     state = BcsState(t=0.0, n_k=np.array([0.5]), d_k=np.array([0.0j]))
-    params = SystemParams(u=0.0, gamma=0.4, pump=0.0, alpha_loss=1.0,
-                          alpha_pump=1.0, grid=grid)
+    params = SystemParams(u=0.0, gamma=0.4, pump=0.0, alpha=1.0, grid=grid)
     deriv = rhs_total(state, params)
     assert abs(deriv.dn_k[0] - (-0.4 * 1.0 * 0.5)) < 1e-15
 
@@ -77,8 +71,7 @@ def test_single_mode_pure_loss():
 def test_vacuum_pump_fills_at_rate_2p():
     grid = single_mode_grid()
     state = BcsState(t=0.0, n_k=np.array([0.0]), d_k=np.array([0.0j]))
-    params = SystemParams(u=0.0, gamma=0.0, pump=0.3, alpha_loss=1.0,
-                          alpha_pump=1.0, grid=grid)
+    params = SystemParams(u=0.0, gamma=0.0, pump=0.3, alpha=1.0, grid=grid)
     deriv = rhs_total(state, params)
     assert abs(deriv.dn_k[0] - 0.6) < 1e-15
 
@@ -88,8 +81,7 @@ def test_free_precession():
     grid = build_flat_band(1.0, 8)
     rng = np.random.default_rng(0)
     state = random_state(rng, 8)
-    params = SystemParams(u=0.0, gamma=0.0, pump=0.0, alpha_loss=0.5,
-                          alpha_pump=0.5, grid=grid)
+    params = SystemParams(u=0.0, gamma=0.0, pump=0.0, alpha=0.5, grid=grid)
     deriv = rhs_total(state, params)
     assert np.max(np.abs(deriv.dn_k)) < 1e-15
     assert np.max(np.abs(deriv.dd_k - 2j * grid.energies * state.d_k)) < 1e-15
@@ -101,8 +93,7 @@ def test_hybrid_corrections_absent_at_alpha_one():
     grid = build_flat_band(1.0, 8)
     rng = np.random.default_rng(1)
     gamma, pump = 0.3, 0.2
-    params = SystemParams(u=1.0, gamma=gamma, pump=pump, alpha_loss=1.0,
-                          alpha_pump=1.0, grid=grid)
+    params = SystemParams(u=1.0, gamma=gamma, pump=pump, alpha=1.0, grid=grid)
     for _ in range(5):
         state = random_state(rng, 8)
         n = density(state, grid)
@@ -119,26 +110,30 @@ def test_hybrid_corrections_absent_at_alpha_one():
 
 
 def test_hybrid_split_composition():
-    # The loss and pump corrections enter with weights (alpha - 1):
-    # R(a, b) = R(1,1) + (1-a)[R(0,1) - R(1,1)] + (1-b)[R(1,0) - R(1,1)].
-    # The oracle pins the values of R itself.
+    # The loss and pump corrections enter with the weight (alpha - 1):
+    # R_{G,P}(a) = R_{G,P}(1) + (1-a)[R_{G,P}(0) - R_{G,P}(1)], and the
+    # correction R_{G,P}(a) - R_{G,P}(1) is the sum of the corrections at
+    # (G, 0) and (0, P). The oracle pins the values of R itself.
     grid = build_flat_band(1.0, 8)
     rng = np.random.default_rng(2)
 
-    def rhs(state, a, b):
-        params = SystemParams(u=1.0, gamma=0.3, pump=0.2, alpha_loss=a,
-                              alpha_pump=b, grid=grid)
+    def rhs(state, gamma, pump, a):
+        params = SystemParams(u=1.0, gamma=gamma, pump=pump, alpha=a, grid=grid)
         deriv = rhs_total(state, params)
         return np.concatenate([deriv.dn_k, deriv.dd_k])
+
+    def correction(state, gamma, pump, a):
+        return rhs(state, gamma, pump, a) - rhs(state, gamma, pump, 1.0)
 
     worst = 0.0
     for _ in range(20):
         state = random_state(rng, 8)
-        a, b = rng.uniform(0.0, 1.0, 2)
-        lind = rhs(state, 1.0, 1.0)
-        expect = (lind + (1.0 - a) * (rhs(state, 0.0, 1.0) - lind)
-                  + (1.0 - b) * (rhs(state, 1.0, 0.0) - lind))
-        worst = max(worst, np.max(np.abs(rhs(state, a, b) - expect)))
+        a = rng.uniform(0.0, 1.0)
+        lind = rhs(state, 0.3, 0.2, 1.0)
+        expect = lind + (1.0 - a) * (rhs(state, 0.3, 0.2, 0.0) - lind)
+        split = correction(state, 0.3, 0.0, a) + correction(state, 0.0, 0.2, a)
+        worst = max(worst, np.max(np.abs(rhs(state, 0.3, 0.2, a) - expect)),
+                    np.max(np.abs(correction(state, 0.3, 0.2, a) - split)))
     assert worst < 1e-14
 
 
@@ -147,8 +142,7 @@ def test_lindblad_density_sum_rule():
     grid = build_flat_band(1.0, 16)
     rng = np.random.default_rng(3)
     state = random_state(rng, 16)
-    params = SystemParams(u=1.0, gamma=0.3, pump=0.0, alpha_loss=1.0,
-                          alpha_pump=1.0, grid=grid)
+    params = SystemParams(u=1.0, gamma=0.3, pump=0.0, alpha=1.0, grid=grid)
     deriv = rhs_total(state, params)
     dn_total = 2.0 * np.sum(grid.weights * deriv.dn_k)
     n = density(state, grid)
@@ -166,8 +160,7 @@ def test_unit_pseudospin_shell_invariant_at_alpha_zero():
     rng = np.random.default_rng(4)
     state = random_state(rng, 16, pure=True)
     for gamma, pump in ((0.3, 0.0), (0.0, 0.2), (0.3, 0.2)):
-        params = SystemParams(u=1.0, gamma=gamma, pump=pump, alpha_loss=0.0,
-                              alpha_pump=0.0, grid=grid)
+        params = SystemParams(u=1.0, gamma=gamma, pump=pump, alpha=0.0, grid=grid)
         dz = zeta_dot(state, rhs_total(state, params))
         assert np.max(np.abs(dz)) < 1e-13
 
@@ -180,26 +173,23 @@ def test_pure_shell_zeta_decay_rate():
     state = random_state(rng, 16, pure=True)
     n = density(state, grid)
     for alpha in (0.25, 0.5, 1.0):
-        params = SystemParams(u=1.0, gamma=0.3, pump=0.0, alpha_loss=alpha,
-                              alpha_pump=alpha, grid=grid)
+        params = SystemParams(u=1.0, gamma=0.3, pump=0.0, alpha=alpha, grid=grid)
         dz = zeta_dot(state, rhs_total(state, params))
         assert np.max(np.abs(dz + 4.0 * alpha * 0.3 * n * state.n_k)) < 1e-13
 
 
 def test_particle_hole_duality():
     # n_k -> 1 - n_k, Delta_k -> -Delta_k* with eps -> -eps exchanges the
-    # roles of losses and pumps (and alpha_loss with alpha_pump).
+    # roles of losses and pumps: (Gamma, P, alpha) -> (P, Gamma, alpha).
     grid = build_flat_band(1.0, 16)
     partner = grid.ph_partner_indices()
     rng = np.random.default_rng(6)
     worst = 0.0
     for _ in range(100):
         state = random_state(rng, 16)
-        a, ap = rng.uniform(0.0, 1.0, 2)
-        forward = SystemParams(u=1.0, gamma=0.3, pump=0.2, alpha_loss=a,
-                               alpha_pump=ap, grid=grid)
-        dual = SystemParams(u=1.0, gamma=0.2, pump=0.3, alpha_loss=ap,
-                            alpha_pump=a, grid=grid)
+        a = rng.uniform(0.0, 1.0)
+        forward = SystemParams(u=1.0, gamma=0.3, pump=0.2, alpha=a, grid=grid)
+        dual = SystemParams(u=1.0, gamma=0.2, pump=0.3, alpha=a, grid=grid)
         d1 = rhs_total(state, forward)
         d2 = rhs_total(particle_hole_transform(state, grid), dual)
         worst = max(worst,
@@ -221,8 +211,7 @@ def test_blowup_raises_with_mode_index():
     grid = build_flat_band(1.0, 4)
     state = BcsState(t=1.5, n_k=np.array([0.5, np.nan, 0.5, 0.5]),
                      d_k=np.zeros(4, dtype=complex))
-    params = SystemParams(u=1.0, gamma=0.1, pump=0.0, alpha_loss=1.0,
-                          alpha_pump=1.0, grid=grid)
+    params = SystemParams(u=1.0, gamma=0.1, pump=0.0, alpha=1.0, grid=grid)
     with pytest.raises(BlowupError) as info:
         rhs_total(state, params)
     # The self-consistent density poisons every mode; the report points at

@@ -60,8 +60,7 @@ def test_ground_state_is_stationary():
     grid = build_flat_band(1.0, 256)
     for u in (0.5, 1.0):
         state = build_ground_state(grid, solve_gap(grid, u))
-        params = SystemParams(u=u, gamma=0.0, pump=0.0, alpha_loss=1.0,
-                              alpha_pump=1.0, grid=grid)
+        params = SystemParams(u=u, gamma=0.0, pump=0.0, alpha=1.0, grid=grid)
         deriv = rhs_total(state, params)
         assert np.max(np.abs(deriv.dn_k)) < 1e-12
         assert np.max(np.abs(deriv.dd_k)) < 1e-12

@@ -5,7 +5,7 @@ from scipy.integrate import simpson, solve_ivp
 from hybridbcs.dynamics import BcsState, SystemParams, density, rhs_total
 from hybridbcs.equilibrium import build_ground_state, solve_gap
 from hybridbcs import integrator
-from hybridbcs.errors import ConfigurationError
+from hybridbcs.errors import ConfigurationError, StepUnderflowError
 from hybridbcs.integrator import (
     Protocol,
     linear_sample_times,
@@ -18,8 +18,7 @@ from hybridbcs.lattice import build_flat_band
 def loss_setup(n_modes=64, gamma=0.08, alpha=1.0):
     grid = build_flat_band(1.0, n_modes)
     ground = build_ground_state(grid, solve_gap(grid, 1.0))
-    params = SystemParams(u=1.0, gamma=gamma, pump=0.0, alpha_loss=alpha,
-                          alpha_pump=alpha, grid=grid)
+    params = SystemParams(u=1.0, gamma=gamma, pump=0.0, alpha=alpha, grid=grid)
     return grid, ground, params
 
 
@@ -104,6 +103,21 @@ def test_adaptive_step_controls_error():
         steps.append(got.metadata["integrator"]["steps"])
     assert errs[0] > 10.0 * errs[1] > 100.0 * errs[2], errs
     assert steps[0] < steps[1] < steps[2], steps
+    # Even the rtol = 1e-13 reference uses a small part of the step budget.
+    stats = ref.metadata["integrator"]
+    assert stats["steps"] + stats["rejections"] < 0.2 * integrator._BUDGET_PER_WT * 40.0
+
+
+def test_step_budget_stops_a_wrong_error_estimate(monkeypatch):
+    # An inconsistent error row shrinks the steps without reaching min_step;
+    # the budget of 1000 + samples + 100 W t steps ends the run in seconds.
+    grid, ground, params = loss_setup(16, alpha=0.5)
+    bad = integrator._E5.copy()
+    bad[5] += 1e-3
+    bad[6] -= 1e-3
+    monkeypatch.setattr(integrator, "_E5", bad)
+    with pytest.raises(StepUnderflowError, match="step budget 1401"):
+        run_protocol(ground, params, Protocol(t_max=4.0, sample_times=np.array([4.0])))
 
 
 def test_dop853_global_order():
@@ -124,8 +138,7 @@ def test_dop853_global_order():
 def test_stationary_state_stays_put():
     grid = build_flat_band(1.0, 64)
     ground = build_ground_state(grid, solve_gap(grid, 1.0))
-    params = SystemParams(u=1.0, gamma=0.0, pump=0.0, alpha_loss=1.0,
-                          alpha_pump=1.0, grid=grid)
+    params = SystemParams(u=1.0, gamma=0.0, pump=0.0, alpha=1.0, grid=grid)
     protocol = Protocol(t_max=20.0, sample_times=linear_sample_times(20.0, 10))
     series = run_protocol(ground, params, protocol)
     assert np.max(np.abs(series.n - density(ground, grid))) < 1e-9
@@ -190,8 +203,7 @@ def test_pure_loss_density_closed_form():
     # dn/dt = -Gamma n^2, so n(t) = n0 / (1 + Gamma n0 t) and Delta stays 0.
     grid = build_flat_band(1.0, 8)
     state = BcsState(t=0.0, n_k=np.full(8, 0.4), d_k=np.zeros(8, dtype=complex))
-    params = SystemParams(u=1.0, gamma=0.3, pump=0.0, alpha_loss=1.0,
-                          alpha_pump=1.0, grid=grid)
+    params = SystemParams(u=1.0, gamma=0.3, pump=0.0, alpha=1.0, grid=grid)
     protocol = Protocol(t_max=10.0, sample_times=linear_sample_times(10.0, 20))
     series = run_protocol(state, params, protocol, rtol=1e-12, atol=1e-15)
     n0 = 0.8
@@ -220,8 +232,7 @@ def test_noclick_pure_loss_closed_form():
     # F(x(t)) = F(x0) - 2 Gamma t with F(x) = -1/x + ln(x / (1 - x)).
     grid = build_flat_band(1.0, 8)
     state = BcsState(t=0.0, n_k=np.full(8, 0.4), d_k=np.zeros(8, dtype=complex))
-    params = SystemParams(u=1.0, gamma=0.3, pump=0.0, alpha_loss=0.0,
-                          alpha_pump=0.0, grid=grid)
+    params = SystemParams(u=1.0, gamma=0.3, pump=0.0, alpha=0.0, grid=grid)
     protocol = Protocol(t_max=10.0, sample_times=linear_sample_times(10.0, 20))
     series = run_protocol(state, params, protocol, rtol=1e-12, atol=1e-15)
 

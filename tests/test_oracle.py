@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hybridbcs import fock
+from hybridbcs import fock, oracle
+from hybridbcs.dynamics import StateDerivative
 from hybridbcs.errors import ConfigurationError
 from hybridbcs.oracle import (
     MomentumCluster,
@@ -128,11 +129,17 @@ def test_eom_suite_three_sites():
     assert report.passed, str(report)
 
 
-def test_eom_suite_catches_corruption():
+def test_eom_suite_catches_corruption(monkeypatch):
     # Negative controls: a 1e-3 perturbation of either equation must trip
     # the 1e-10 gate.
-    for corrupt in ("occupation", "pairing"):
-        report = run_eom_suite(seeds=2, n_sites=2, corrupt=corrupt)
+    exact = oracle.rhs_total
+    for shift_n, shift_d in ((1e-3, 0.0), (0.0, 1e-3)):
+        def perturbed(state, params, shift_n=shift_n, shift_d=shift_d):
+            deriv = exact(state, params)
+            return StateDerivative(deriv.dn_k + shift_n, deriv.dd_k + shift_d)
+
+        monkeypatch.setattr(oracle, "rhs_total", perturbed)
+        report = run_eom_suite(seeds=2, n_sites=2)
         assert not report.passed
         assert report.worst_residual > 1e-4
 
@@ -158,6 +165,8 @@ def test_run_all_checks():
     assert all(r.passed for r in reports), "\n".join(str(r) for r in reports)
     with pytest.raises(ConfigurationError):
         run_all_checks(n_sites=5)
+    with pytest.raises(ConfigurationError, match="at least one seed"):
+        run_eom_suite(seeds=0)
 
 
 def test_cluster_grid_shapes():
