@@ -186,17 +186,14 @@ def test_scan_summary(tmp_path):
 
 def test_scan_plateau_starts_after_collapse(tmp_path):
     # A no-click loss run first sits frozen near n = 1; the summary's plateau
-    # must come from after the order-parameter collapse. Without losses the
-    # ground state is stationary: the plateau is the whole series at n = 1.
+    # must come from after the order-parameter collapse.
     cfg = base_config(tmp_path, t_max_w=60.0, samples=40)
     cfg["dissipation"]["alpha"] = 0.0
     config_path = write_config(tmp_path, cfg)
     assert cli.main(["scan", "--config", config_path, "--axis", "gamma",
-                     "--values", "0.32,0"]) == 0
+                     "--values", "0.32"]) == 0
     with open(tmp_path / "out_gamma_summary.csv", newline="") as handle:
-        rows = list(csv.reader(handle))[1:]
-    assert abs(float(rows[1][7]) - 1.0) < 1e-7
-    plateau_n = float(rows[0][7])
+        plateau_n = float(list(csv.reader(handle))[1][7])
     header, data = read_csv(tmp_path / "out_gamma_0.32.csv")
     t, n = data[:, header.index("t_w")], data[:, header.index("n")]
     start = collapse_index(data[:, header.index("abs_delta")])

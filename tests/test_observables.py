@@ -1,12 +1,16 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
 from hybridbcs.dynamics import BcsState, pseudospin
 from hybridbcs.errors import ConfigurationError
 from hybridbcs.integrator import TimeSeries
-from hybridbcs import observables
+from hybridbcs import cli, observables
 from hybridbcs.lattice import build_flat_band
 from hybridbcs.observables import (
+    collapse_index,
     detect_plateau,
     exponent_drift,
     fit_power_law,
@@ -109,6 +113,33 @@ def test_detect_plateau_reports_latest_window():
     assert report.found
     assert abs(report.value - 1.0 / 16.0) < 1e-12
     assert 40.0 < report.window[0] < 100.0 and report.window[1] == t[-1]
+
+
+def test_zeno_scan_without_losses(tmp_path):
+    # No losses: the ground state is stationary, the scan's plateau is the
+    # full series at the initial density 1.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "band": {"width": 1.0, "n_modes": 64},
+        "interaction": {"u_over_w": 1.0},
+        "dissipation": {"gamma_over_u": 0.0, "p_over_u": 0.0, "alpha": 0.0},
+        "time": {"t_max_w": 50.0, "samples": 60, "spacing": "log"},
+        "output": {"path": str(tmp_path / "out.csv")},
+    }))
+    assert cli.main(["scan", "--config", str(config), "--axis", "gamma",
+                     "--values", "0"]) == 0
+    with open(tmp_path / "out_gamma_summary.csv", newline="") as handle:
+        plateau_n = float(list(csv.reader(handle))[1][7])
+    assert abs(plateau_n - 1.0) < 1e-7
+    with open(tmp_path / "out_gamma_0.csv", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        data = np.array([[float(v) for v in row] for row in reader])
+    t, n = data[:, header.index("t_w")], data[:, header.index("n")]
+    assert collapse_index(data[:, header.index("abs_delta")]) == 0
+    report = detect_plateau(t, n)
+    assert report.found and report.value == plateau_n
+    assert report.window == (t[0], t[-1])
 
 
 def test_detect_plateau_handles_bad_input():
