@@ -113,10 +113,16 @@ def rhs_total(state, params):
     phi = (-params.u + 1j * (gamma - pump)) * delta
     hole = 1.0 - 0.5 * n
     h_k = 1.0 - n_k
-    dn = (-2.0 * (phi.imag * d_k.real - phi.real * d_k.imag)
-          - gamma * n * n_k + 2.0 * pump * hole * h_k)
-    dd = ((2j * grid.energies - (gamma * n + 2.0 * pump * hole)) * d_k
-          - 1j * phi * (2.0 * n_k - 1.0))
+    # One packed [dn_k, Re dDelta_0, Im dDelta_0, ...] array: the integrator's layout.
+    m = n_k.size
+    out = np.empty(3 * m)
+    dn, dd = out[:m], out[m:].view(complex)
+    np.subtract(phi.imag * d_k.real, phi.real * d_k.imag, out=dn)
+    dn *= -2.0
+    dn -= gamma * n * n_k
+    dn += 2.0 * pump * hole * h_k
+    np.multiply(2j * grid.energies - (gamma * n + 2.0 * pump * hole), d_k, out=dd)
+    dd -= 1j * phi * (2.0 * n_k - 1.0)
     c_loss = gamma * (params.alpha - 1.0)
     c_pump = pump * (params.alpha - 1.0)
     if c_loss != 0.0 or c_pump != 0.0:
@@ -128,9 +134,8 @@ def rhs_total(state, params):
         dd += 2.0 * (delta * (c_loss * n2 + c_pump * h2)
                      - d_k * (c_loss * n * n_k + 2.0 * c_pump * hole * h_k)
                      - (c_loss + c_pump) * np.conj(delta) * d_k * d_k)
-    finite = np.isfinite(dn) & np.isfinite(dd)
-    if not finite.all():
-        mode = int(np.argmin(finite))
+    if not np.isfinite(out).all():
+        mode = int(np.argmin(np.isfinite(dn) & np.isfinite(dd)))
         raise BlowupError(f"non-finite derivative at mode {mode}, t={state.t}",
                           t=state.t, mode=mode)
     return StateDerivative(dn, dd)

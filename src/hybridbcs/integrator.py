@@ -71,25 +71,20 @@ _BUDGET_PER_WT = 100
 
 
 def _pack(state):
-    return np.concatenate([state.n_k, state.d_k.real, state.d_k.imag])
+    """The packed state y = [n_k, Re Delta_0, Im Delta_0, Re Delta_1, ...]."""
+    return np.concatenate([state.n_k, np.ascontiguousarray(state.d_k).view(float)])
 
 
 def _unpack(y, t):
+    """A BcsState over views of y: n_k = y[:M] and d_k = y[M:] read as complex."""
     m = y.size // 3
-    return BcsState(t=t, n_k=y[:m], d_k=y[m:2 * m] + 1j * y[2 * m:])
+    return BcsState(t=t, n_k=y[:m], d_k=y[m:].view(complex))
 
 
-def _f(y, t, params, out):
-    """Write the packed derivative of y = [n_k, Re Delta_k, Im Delta_k] into out."""
-    deriv = rhs_total(_unpack(y, t), params)
-    np.concatenate([deriv.dn_k, deriv.dd_k.real, deriv.dd_k.imag], out=out)
-
-
-def _error_norm(k, dt, y, y_new, rtol, atol):
-    """Hairer's DOP853 norm: the 5th-order estimate damped by the 3rd-order one."""
-    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-    e5, e3 = (float(np.sum((row @ k / scale) ** 2)) for row in (_E5, _E3))
-    return abs(dt) * e5 / np.sqrt((e5 + 0.01 * e3) * y.size) if e5 or e3 else 0.0
+def _f(state, params, out):
+    """Write the packed derivative at state into out."""
+    deriv = rhs_total(state, params)
+    np.concatenate([deriv.dn_k, deriv.dd_k.view(float)], out=out)
 
 
 class AdaptiveStepper:
@@ -97,11 +92,13 @@ class AdaptiveStepper:
 
     The thirteen stage derivatives live in one (13, size) buffer whose row 0
     holds f at the current point: initial_step fills it, and every accepted
-    step refills it from the last stage. A step attempt, accepted or not,
-    costs twelve RHS evaluations; n_evals counts them all.
+    step refills it from the last stage. Two packed buffers, each with one
+    BcsState over its views, take turns: the stages write the other one, which
+    an accepted step makes self.state. A step attempt costs twelve RHS
+    evaluations; n_evals counts them all, dt_min and dt_max the accepted steps.
     """
 
-    def __init__(self, params, size, rtol, atol, max_step):
+    def __init__(self, params, initial, rtol, atol, max_step):
         if rtol <= 0 or atol <= 0:
             raise ConfigurationError("rtol and atol must be positive")
         self.params = params
@@ -112,13 +109,18 @@ class AdaptiveStepper:
         self.n_steps = 0
         self.n_rejected = 0
         self.n_evals = 0
+        self.dt_min = self.dt_max = None
         self._err_prev = 1.0
-        self._k = np.empty((13, size))
+        y = _pack(initial)
+        self._bufs = [(buf, _unpack(buf, initial.t)) for buf in (y, np.empty_like(y))]
+        self.state = self._bufs[0][1]
+        self._k = np.empty((13, y.size))
+        self._err = np.empty((3, y.size))  # the scale, then the two error rows
 
-    def initial_step(self, y, t):
-        """Evaluate f(y, t) into the first stage; returns a first step size."""
-        f0 = self._k[0]
-        _f(y, t, self.params, f0)
+    def initial_step(self):
+        """Evaluate f at the current state into the first stage; returns a first dt."""
+        y, f0 = self._bufs[0][0], self._k[0]
+        _f(self.state, self.params, f0)
         self.n_evals += 1
         scale = self.atol + self.rtol * np.abs(y)
         d0 = np.sqrt(np.mean((y / scale) ** 2))
@@ -126,34 +128,53 @@ class AdaptiveStepper:
         dt = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
         return min(dt, self.max_step)
 
-    def step(self, y, t, dt, t_limit):
-        """Advance by one accepted step; returns (y, t_new, dt_next).
+    def _error_norm(self, dt, y, y_new):
+        """Hairer's DOP853 norm: the 5th-order estimate damped by the 3rd-order one."""
+        scale, rows = self._err[0], self._err[1:]
+        np.maximum(np.abs(y, out=scale), np.abs(y_new, out=rows[0]), out=scale)
+        scale *= self.rtol
+        scale += self.atol
+        np.dot(np.array([_E5, _E3]), self._k, out=rows)
+        rows /= scale
+        e5, e3 = np.einsum("ij,ij->i", rows, rows)
+        return abs(dt) * e5 / np.sqrt((e5 + 0.01 * e3) * y.size) if e5 or e3 else 0.0
+
+    def step(self, dt, t_limit):
+        """Advance self.state by one accepted step; returns the next proposal.
 
         The proposal dt is truncated to land exactly on t_limit when it would
         overshoot; a truncated step leaves the proposal for the next step
         unchanged so the controller is not polluted by sampling breakpoints.
         """
         k = self._k
+        (y, state), (y_new, stage) = self._bufs
+        t = state.t
         while True:
             dt_try = min(dt, self.max_step)
             hit = dt_try >= t_limit - t
             if hit:
                 dt_try = t_limit - t
+            a = dt_try * _A
             for i in range(1, 13):
-                y_new = y + dt_try * (_A[i, :i] @ k[:i])
-                _f(y_new, t + _C[i] * dt_try, self.params, k[i])
+                np.dot(a[i, :i], k[:i], out=y_new)
+                y_new += y
+                stage.t = t + _C[i] * dt_try
+                _f(stage, self.params, k[i])
             self.n_evals += 12
-            err = _error_norm(k, dt_try, y, y_new, self.rtol, self.atol)
+            err = self._error_norm(dt_try, y, y_new)
             if err <= 1.0:
                 self.n_steps += 1
+                self.dt_min = min(self.dt_min or dt_try, dt_try)
+                self.dt_max = max(self.dt_max or dt_try, dt_try)
                 err_floor = max(err, 1e-16)
                 factor = min(_MAX_FACTOR,
                              _SAFETY * err_floor ** -_K_I * self._err_prev ** _K_P)
                 self._err_prev = err_floor
                 k[0] = k[12]
-                t_new = t_limit if hit else t + dt_try
-                dt_next = dt if hit else dt_try * factor
-                return y_new, t_new, dt_next
+                stage.t = t_limit if hit else t + dt_try
+                self._bufs.reverse()
+                self.state = stage
+                return dt if hit else dt_try * factor
             self.n_rejected += 1
             dt = dt_try * max(_MIN_FACTOR, _SAFETY * err ** -0.125)
             if dt < self.min_step:
@@ -263,19 +284,17 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12, max_step=np.i
         out["sz"][i] = sz[modes]
         out["zeta"][i] = zeta_k[modes]
 
-    y = _pack(initial)
-    stepper = AdaptiveStepper(params, y.size, rtol=rtol, atol=atol, max_step=max_step)
-    t = initial.t
+    stepper = AdaptiveStepper(params, initial, rtol=rtol, atol=atol, max_step=max_step)
     budget = (_BUDGET_BASE + n_samples
-              + _BUDGET_PER_WT * grid.bandwidth * (protocol.t_max - t))
-    dt = stepper.initial_step(y, t)
+              + _BUDGET_PER_WT * grid.bandwidth * (protocol.t_max - initial.t))
+    dt = stepper.initial_step()
     for i, t_sample in enumerate(protocol.sample_times):
-        while t < t_sample:
+        while (t := stepper.state.t) < t_sample:
             if stepper.n_steps + stepper.n_rejected > budget:
                 raise StepUnderflowError(
                     f"step budget {budget:.0f} exhausted at t={t}", t=t)
-            y, t, dt = stepper.step(y, t, dt, t_sample)
-        record(i, _unpack(y, t))
+            dt = stepper.step(dt, t_sample)
+        record(i, stepper.state)
 
     return TimeSeries(
         t=protocol.sample_times.copy(), n=out["n"], delta=out["delta"],
@@ -288,5 +307,6 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12, max_step=np.i
                        "alpha": params.alpha},
             "integrator": {"method": "DOP853", "rtol": rtol, "atol": atol,
                            "max_step": max_step, "steps": stepper.n_steps,
-                           "rejections": stepper.n_rejected, "rhs_evals": stepper.n_evals},
+                           "rejections": stepper.n_rejected, "rhs_evals": stepper.n_evals,
+                           "dt_min": stepper.dt_min, "dt_max": stepper.dt_max},
         })

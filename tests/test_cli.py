@@ -115,6 +115,7 @@ def test_run_writes_csv_and_sidecar(tmp_path):
     for requested, snapped in zip([-0.1, 0.1], sidecar["tracked_energies"]):
         assert abs(requested - snapped) < 1.0 / 64
     assert sidecar["integrator"]["steps"] > 0
+    assert 0.0 < sidecar["integrator"]["dt_min"] <= sidecar["integrator"]["dt_max"]
 
 
 def test_run_reproduces_from_sidecar(tmp_path):

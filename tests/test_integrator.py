@@ -5,7 +5,7 @@ from scipy.integrate import simpson, solve_ivp
 from hybridbcs.dynamics import BcsState, SystemParams, density, rhs_total
 from hybridbcs.equilibrium import build_ground_state, solve_gap
 from hybridbcs import integrator
-from hybridbcs.errors import ConfigurationError, StepUnderflowError
+from hybridbcs.errors import BlowupError, ConfigurationError, StepUnderflowError
 from hybridbcs.integrator import (
     Protocol,
     linear_sample_times,
@@ -58,10 +58,11 @@ def test_fixed_step_order():
         dt = t_end / n_steps
         for step in range(n_steps):
             t = step * dt
-            integrator._f(y, t, params, k[0])
+            integrator._f(integrator._unpack(y, t), params, k[0])
             for i in range(1, 12):
-                integrator._f(y + dt * (integrator._A[i, :i] @ k[:i]),
-                              t + integrator._C[i] * dt, params, k[i])
+                stage = y + dt * (integrator._A[i, :i] @ k[:i])
+                integrator._f(integrator._unpack(stage, t + integrator._C[i] * dt),
+                              params, k[i])
             y = y + dt * (weights[:12] @ k)
         return y
 
@@ -72,6 +73,37 @@ def test_fixed_step_order():
         err = [np.max(np.abs(integrate(n, weights) - fine)) for n in (1, 2)]
         order = np.log2(err[0] / err[1])
         assert low < order < high, (low, order)
+
+
+def test_pack_layout_round_trip():
+    # y = [n_k, Re Delta_0, Im Delta_0, Re Delta_1, ...]: unpacking gives
+    # views of y, and packing them again gives y back bit for bit.
+    rng = np.random.default_rng(4)
+    state = BcsState(t=0.7, n_k=rng.uniform(0.0, 1.0, 6),
+                     d_k=rng.normal(size=6) + 1j * rng.normal(size=6))
+    y = integrator._pack(state)
+    back = integrator._unpack(y, state.t)
+    assert back.n_k.tobytes() == state.n_k.tobytes()
+    assert back.d_k.tobytes() == state.d_k.tobytes()
+    assert back.t == state.t and y[7] == state.d_k[0].imag
+    assert np.shares_memory(back.n_k, y) and np.shares_memory(back.d_k, y)
+    assert integrator._pack(back).tobytes() == y.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_blowup_reports_mode_and_time():
+    # With W = 4 the top mode has eps_3 = 1.5, so 2i eps_3 Delta_3 with
+    # Delta_3 = 1e308 i overflows Re dDelta_3 alone; every other entry of
+    # the derivative stays finite. Both paths must name mode 3 and the time.
+    grid = build_flat_band(4.0, 4)
+    params = SystemParams(u=1.0, gamma=0.0, pump=0.0, alpha=1.0, grid=grid)
+    state = BcsState(t=0.25, n_k=np.full(4, 0.5), d_k=np.array([0, 0, 0, 1e308j]))
+    with pytest.raises(BlowupError) as direct:
+        rhs_total(state, params)
+    with pytest.raises(BlowupError) as run:
+        run_protocol(state, params, Protocol(t_max=1.0, sample_times=np.array([1.0])))
+    for info in (direct, run):
+        assert (info.value.mode, info.value.t) == (3, 0.25)
 
 
 def test_tableau_matches_hairer_dop853():
@@ -271,6 +303,9 @@ def test_integrator_metadata():
         assert stats["rtol"] == 1e-9
         assert stats["method"] == "DOP853"
         assert stats["rhs_evals"] == 1 + 12 * (stats["steps"] + stats["rejections"])
+        # The accepted steps, the landing step included, span the run.
+        assert 0.0 < stats["dt_min"] <= stats["dt_max"]
+        assert stats["steps"] * stats["dt_min"] <= 5.0 <= stats["steps"] * stats["dt_max"]
         steps.append(stats["steps"])
     assert steps[0] == steps[1]
     assert series.metadata["params"]["gamma"] == params.gamma
