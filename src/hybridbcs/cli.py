@@ -230,11 +230,15 @@ def cmd_scan(args):
     base = cfg["output"]["path"]
     root, ext = os.path.splitext(base)
     ext = ext or ".csv"
-    jobs = []
+    jobs, writers = [], {}
     for value in values:
+        path = f"{root}_{args.axis}_{value:g}{ext}"
+        if path in writers:
+            raise ConfigurationError(
+                f"scan values {writers[path]!r} and {value!r} would both write {path}")
+        writers[path] = value
         run_cfg = json.loads(json.dumps(cfg))
         run_cfg[section][key] = value
-        path = f"{root}_{args.axis}_{value:g}{ext}"
         run_cfg["output"]["path"] = path
         jobs.append((run_cfg, path))
 
@@ -296,7 +300,7 @@ def cmd_fit(args):
     report = {"column": args.column, "window": list(fit.window),
               "exponent": fit.exponent, "intercept": fit.intercept,
               "r_squared": fit.r_squared}
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, allow_nan=False))
     return 0
 
 

@@ -67,9 +67,14 @@ def density(state, grid):
     return 2.0 * float(grid.weights @ state.n_k)
 
 
+def _pairs(d_k):
+    """d_k as an (M, 2) real array [Re Delta_k, Im Delta_k]; a view when contiguous."""
+    return np.ascontiguousarray(d_k).view(float).reshape(-1, 2)
+
+
 def order_parameter(state, grid):
     """Order parameter Delta = sum_k w_k Delta_k."""
-    return complex(grid.weights @ state.d_k)
+    return complex(*(grid.weights @ _pairs(state.d_k)).tolist())
 
 
 def pseudospin(state, grid):
@@ -104,36 +109,60 @@ def rhs_total(state, params):
         dDelta_k += 2 [Delta (c_l n_k^2 + c_p h_k^2)
                        - Delta_k (c_l n n_k + 2 c_p hole h_k)
                        - (c_l + c_p) Delta* Delta_k^2]
+
+    Regrouped around the scalars c = c_l + c_p, q, a0, a1, c0, u and v set
+    below, with x.Delta_k = x_r Re Delta_k + x_i Im Delta_k, this reads
+
+        dn_k = a0 + a1 n_k + q (n_k^2 - |Delta_k|^2) + u.Delta_k + n_k (v.Delta_k)
+        dDelta_k = Delta_k (2i eps_k + a1 + 2 q n_k - 2 c Delta* Delta_k)
+                   + c0 (1 - 2 n_k) + 2 c Delta n_k^2
     """
     grid = params.grid
     gamma, pump = params.gamma, params.pump
     n_k, d_k = state.n_k, state.d_k
+    d2 = _pairs(d_k)
     n = density(state, grid)
     delta = order_parameter(state, grid)
     phi = (-params.u + 1j * (gamma - pump)) * delta
     hole = 1.0 - 0.5 * n
-    h_k = 1.0 - n_k
+    c_l = gamma * (params.alpha - 1.0)
+    c_p = pump * (params.alpha - 1.0)
+    c = c_l + c_p
+    q = 2.0 * c_p * hole - c_l * n
+    a0 = 2.0 * (pump + c_p) * hole
+    a1 = -gamma * n - 2.0 * (pump + 2.0 * c_p) * hole
+    c0 = 1j * phi + 2.0 * c_p * delta
     # One packed [dn_k, Re dDelta_0, Im dDelta_0, ...] array: the integrator's layout.
     m = n_k.size
     out = np.empty(3 * m)
     dn, dd = out[:m], out[m:].view(complex)
-    np.subtract(phi.imag * d_k.real, phi.real * d_k.imag, out=dn)
-    dn *= -2.0
-    dn -= gamma * n * n_k
-    dn += 2.0 * pump * hole * h_k
-    np.multiply(2j * grid.energies - (gamma * n + 2.0 * pump * hole), d_k, out=dd)
-    dd -= 1j * phi * (2.0 * n_k - 1.0)
-    c_loss = gamma * (params.alpha - 1.0)
-    c_pump = pump * (params.alpha - 1.0)
-    if c_loss != 0.0 or c_pump != 0.0:
-        abs2 = d_k.real ** 2 + d_k.imag ** 2
-        re_dd = delta.real * d_k.real + delta.imag * d_k.imag
-        n2, h2 = n_k * n_k, h_k * h_k
-        dn += (-c_loss * n * (n2 - abs2) + 2.0 * c_pump * hole * (h2 - abs2)
-               + 4.0 * re_dd * (c_pump * h_k - c_loss * n_k))
-        dd += 2.0 * (delta * (c_loss * n2 + c_pump * h2)
-                     - d_k * (c_loss * n * n_k + 2.0 * c_pump * hole * h_k)
-                     - (c_loss + c_pump) * np.conj(delta) * d_k * d_k)
+    # dn_k = u.Delta_k + rest_k and dDelta_k = coef_k Delta_k + source_k.
+    np.dot(d2, [-2.0 * phi.imag + 4.0 * c_p * delta.real,
+                2.0 * phi.real + 4.0 * c_p * delta.imag], out=dn)
+    n_c = n_k.astype(complex)
+    if c == 0.0:  # c_l, c_p <= 0, so alpha = 1 or no rates; q = 0 as well
+        rest = a1 * n_k
+        coef = grid.precession + a1
+        source = n_c * (-2.0 * c0)
+    else:
+        rest = d2 @ [-4.0 * c * delta.real, -4.0 * c * delta.imag]
+        rest += q * n_k
+        rest += a1
+        rest *= n_k
+        sq = np.square(d2)
+        rest -= q * (sq[:, 0] + sq[:, 1])
+        coef = n_c * (2.0 * q)
+        coef += grid.precession
+        coef += a1
+        coef -= (2.0 * c * delta.conjugate()) * d_k
+        source = n_c * (2.0 * c * delta)
+        source -= 2.0 * c0
+        source *= n_c
+    rest += a0
+    dn += rest
+    np.multiply(d_k, coef, out=dd)
+    source += c0
+    dd += source
     if not np.isfinite(out).all():
         mode = int(np.argmin(np.isfinite(dn) & np.isfinite(dd)))
         raise BlowupError(f"non-finite derivative at mode {mode}, t={state.t}",

@@ -5,6 +5,7 @@ of the band energy is integrated as sum_k w_k f(eps_k), with sum_k w_k = 1.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,13 @@ class BandGrid:
             raise ConfigurationError("quadrature weights must sum to 1")
         energies.setflags(write=False)
         weights.setflags(write=False)
+
+    @cached_property
+    def precession(self):
+        """2i eps_k, the free precession rate of each Delta_k (computed once)."""
+        rates = 2j * self.energies
+        rates.setflags(write=False)
+        return rates
 
     def ph_partner_indices(self):
         """Index array j' with eps_{j'} = -eps_j and w_{j'} = w_j.

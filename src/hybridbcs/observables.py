@@ -24,7 +24,7 @@ class PowerLawFit:
 
 
 def fit_power_law(t, y, window):
-    """Fit y ~ t^p on the window (t_lo, t_hi); all samples must be positive."""
+    """Fit y ~ t^p on the window (t_lo, t_hi); its samples must be finite and positive."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     t_lo, t_hi = window
@@ -34,8 +34,8 @@ def fit_power_law(t, y, window):
     if np.count_nonzero(mask) < _MIN_FIT_SAMPLES:
         raise ConfigurationError(
             f"fewer than {_MIN_FIT_SAMPLES} samples in window ({t_lo}, {t_hi})")
-    if np.any(y[mask] <= 0):
-        raise ConfigurationError("power-law fit requires strictly positive data")
+    if not np.all(np.isfinite(t[mask]) & np.isfinite(y[mask]) & (y[mask] > 0)):
+        raise ConfigurationError("power-law fit requires finite, strictly positive data")
     lx = np.log(t[mask])
     ly = np.log(y[mask])
     slope, intercept = np.polyfit(lx, ly, 1)

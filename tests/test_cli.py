@@ -169,6 +169,25 @@ def test_fit_command(tmp_path, capsys):
                      "--window", "banana"]) == cli.EXIT_CONFIG
 
 
+def test_fit_rejects_non_finite_data(tmp_path, capsys):
+    # One nan in the window used to print "exponent": NaN (not JSON) and exit 0.
+    path = tmp_path / "series.csv"
+    t = np.geomspace(1.0, 100.0, 60)
+    n = 2.0 * t ** -2.0
+    n[30] = np.nan
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t_w", "n"])
+        for ti, ni in zip(t, n):
+            writer.writerow([f"{ti:.17e}", f"{ni:.17e}"])
+    assert cli.main(["fit", "--input", str(path), "--column", "n",
+                     "--window", "1,100"]) == cli.EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+    # Outside the window the nan is ignored.
+    assert cli.main(["fit", "--input", str(path), "--column", "n",
+                     "--window", "20,100"]) == 0
+
+
 def test_scan_summary(tmp_path):
     cfg = base_config(tmp_path, samples=20)
     config_path = write_config(tmp_path, cfg)
@@ -213,6 +232,16 @@ def test_scan_empty_values_exit_code(tmp_path):
                      "--values", ","]) == cli.EXIT_CONFIG
     assert cli.main(["scan", "--config", config_path, "--axis", "alpha",
                      "--values", "abc"]) == cli.EXIT_CONFIG
+
+
+def test_scan_rejects_colliding_output_paths(tmp_path, capsys):
+    # Values that print alike under :g would write one CSV twice.
+    config_path = write_config(tmp_path, base_config(tmp_path, samples=15))
+    for values in ("0.1234567,0.1234568", "0.08,0.16,0.08"):
+        assert cli.main(["scan", "--config", config_path, "--axis", "gamma",
+                         "--values", values, "--workers", "2"]) == cli.EXIT_CONFIG
+        assert "would both write" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 def test_scan_tolerates_single_failed_run(tmp_path, monkeypatch):

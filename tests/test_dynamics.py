@@ -109,6 +109,59 @@ def test_hybrid_corrections_absent_at_alpha_one():
         assert np.max(np.abs(deriv.dd_k - dd)) < 1e-14
 
 
+def reference_rhs(state, params):
+    # The docstring's Lindblad part and (alpha - 1) corrections, term by term.
+    grid = params.grid
+    gamma, pump, alpha = params.gamma, params.pump, params.alpha
+    n_k, d_k = state.n_k, state.d_k
+    n = 2.0 * np.sum(grid.weights * n_k)
+    delta = np.sum(grid.weights * d_k)
+    phi = (-params.u + 1j * (gamma - pump)) * delta
+    hole = 1.0 - 0.5 * n
+    h_k = 1.0 - n_k
+    abs2 = np.abs(d_k) ** 2
+    dn = (-2.0 * np.imag(phi * np.conj(d_k)) - gamma * n * n_k
+          + 2.0 * pump * hole * h_k)
+    dd = ((2j * grid.energies - gamma * n - 2.0 * pump * hole) * d_k
+          - 1j * phi * (2.0 * n_k - 1.0))
+    c_l = gamma * (alpha - 1.0)
+    c_p = pump * (alpha - 1.0)
+    dn = dn + (-c_l * n * (n_k ** 2 - abs2) + 2.0 * c_p * hole * (h_k ** 2 - abs2)
+               + 4.0 * np.real(delta * np.conj(d_k)) * (c_p * h_k - c_l * n_k))
+    dd = dd + 2.0 * (delta * (c_l * n_k ** 2 + c_p * h_k ** 2)
+                     - d_k * (c_l * n * n_k + 2.0 * c_p * hole * h_k)
+                     - (c_l + c_p) * np.conj(delta) * d_k ** 2)
+    return dn, dd
+
+
+def test_rhs_matches_term_by_term_reference():
+    # rhs_total evaluates the generator in a regrouped coefficient form; the
+    # reference keeps the physical terms apart. Random non-uniform weights
+    # keep every weighted sum honest (the oracle only sees uniform ones).
+    rng = np.random.default_rng(8)
+    m = 24
+    weights = rng.uniform(0.2, 1.0, m)
+    grid = BandGrid(n_modes=m, energies=np.sort(rng.uniform(-0.5, 0.5, m)),
+                    weights=weights / weights.sum(), bandwidth=1.0)
+    worst = 0.0
+    for alpha in (0.0, 0.37, 1.0):
+        for pump in (0.0, 0.2):
+            params = SystemParams(u=1.3, gamma=0.3, pump=pump, alpha=alpha, grid=grid)
+            for trial in range(4):
+                state = random_state(rng, m)
+                if trial == 0:
+                    strided = np.empty(2 * m, dtype=complex)
+                    strided[::2] = state.d_k
+                    state = BcsState(t=0.0, n_k=state.n_k, d_k=strided[::2])
+                    assert not state.d_k.flags.c_contiguous
+                dn, dd = reference_rhs(state, params)
+                deriv = rhs_total(state, params)
+                worst = max(worst,
+                            np.max(np.abs(deriv.dn_k - dn)) / np.max(np.abs(dn)),
+                            np.max(np.abs(deriv.dd_k - dd)) / np.max(np.abs(dd)))
+    assert worst < 1e-13
+
+
 def test_hybrid_split_composition():
     # The loss and pump corrections enter with the weight (alpha - 1):
     # R_{G,P}(a) = R_{G,P}(1) + (1-a)[R_{G,P}(0) - R_{G,P}(1)], and the
