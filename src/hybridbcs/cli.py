@@ -223,6 +223,8 @@ def cmd_scan(args):
         raise ConfigurationError(f"invalid scan values: {args.values}")
     if not values:
         raise ConfigurationError("scan needs at least one value")
+    if not all(map(math.isfinite, values)):
+        raise ConfigurationError(f"scan values must be finite: {args.values}")
     if args.workers < 1:
         raise ConfigurationError(f"--workers must be at least 1, got {args.workers}")
     section, key = _AXIS_KEYS[args.axis]

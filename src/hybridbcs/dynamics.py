@@ -33,8 +33,8 @@ class SystemParams:
     grid: BandGrid
 
     def __post_init__(self):
-        if self.u < 0 or self.gamma < 0 or self.pump < 0:
-            raise ConfigurationError("u, gamma and pump must be non-negative")
+        if not all(0.0 <= x < np.inf for x in (self.u, self.gamma, self.pump)):
+            raise ConfigurationError("u, gamma and pump must be finite and non-negative")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigurationError("alpha must lie in [0, 1]")
 

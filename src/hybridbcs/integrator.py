@@ -7,8 +7,9 @@ tails spanning several decades of time, so error-controlled steps are
 essential.
 
 The rates are on from the initial time: the quench is instantaneous. The
-stepper lands exactly on every requested sample time (no dense-output
-interpolation), so recorded times equal requested times bit-for-bit.
+stepper shortens only its last step, to end on the last sample time. A sample
+inside a step comes from the 7th-order dense output of DOP853 (ibid., sec.
+II.6, Hairer's contd8), so recorded times equal requested times bit-for-bit.
 """
 
 from dataclasses import dataclass, field
@@ -22,12 +23,13 @@ from .lattice import revival_time
 # Dormand-Prince 8(5,3) tableau: the coefficients of Hairer's dop853 code,
 # each written as the shortest decimal that rounds to the same double. Row 12
 # of _A holds the 8th-order weights, so stage 12 is f at the new point (first
-# same as last). _E5 and _E3 are the 5th- and 3rd-order error rows; _E3 is
-# the weights minus Hairer's bhh1..bhh3.
+# same as last); rows 13-15 are the extra stages of the dense output. _E5 and
+# _E3 are the 5th- and 3rd-order error rows, _E3 the weights minus bhh1..bhh3.
 _C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
                0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
-               0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0])
-_A = np.zeros((13, 13))
+               0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+               0.7777777777777778])
+_A = np.zeros((16, 16))
 _A[1, 0] = 0.05260015195876773
 _A[2, :2] = [0.0197250569845379, 0.0591751709536137]
 _A[3, [0, 2]] = [0.02958758547680685, 0.08876275643042054]
@@ -51,12 +53,40 @@ _A[11, np.r_[0, 3:11]] = [2.273310147516538, -10.53449546673725, -2.000872058224
 _A[12, np.r_[0, 5:12]] = [0.054293734116568765, 4.450312892752409, 1.8915178993145003,
                           -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
                           0.20136540080403034, 0.04471061572777259]
+_A[13, np.r_[0, 6:13]] = [0.056167502283047954, 0.25350021021662483, -0.2462390374708025,
+                          -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+                          0.007567897660545699, -0.008298]
+_A[14, np.r_[0, 5:8, 10:14]] = [
+    0.03183464816350214, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099,
+    -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
+    0.1413124436746325]
+_A[15, np.r_[0, 5:9, 12:15]] = [
+    -0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+    0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987]
 _E5 = np.zeros(13)
 _E5[np.r_[0, 5:12]] = [0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
                        1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
                        0.08192320648511571, -0.022355307863886294]
-_E3 = _A[12].copy()
+_E3 = _A[12, :13].copy()
 _E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
+# The dense output in stage weights: y(t_old + x h) = y_old + h w(x) k, where
+# w(x) = x (W0 + (1-x) (W1 + x (W2 + ...))) over the rows of _W, which are
+# Hairer's rcont2..rcont8 written in the stages: b, e0 - b, 2b - e0 - e12, D.
+_W = np.zeros((7, 16))
+_W[:3] = [_A[12], np.eye(16)[0] - _A[12], 2.0 * _A[12] - np.eye(16)[0] - np.eye(16)[12]]
+_W[3:, np.r_[0, 5:16]] = [
+    [-8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564]]
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -88,14 +118,15 @@ def _f(state, params, out):
 
 
 class AdaptiveStepper:
-    """Embedded 8(5,3) stepper with PI control and FSAL reuse.
+    """Embedded 8(5,3) stepper with PI control, FSAL reuse and dense output.
 
-    The thirteen stage derivatives live in one (13, size) buffer whose row 0
-    holds f at the current point: initial_step fills it, and every accepted
-    step refills it from the last stage. Two packed buffers, each with one
-    BcsState over its views, take turns: the stages write the other one, which
-    an accepted step makes self.state. A step attempt costs twelve RHS
-    evaluations; n_evals counts them all, dt_min and dt_max the accepted steps.
+    Samples inside a step come from sample(), the 7th-order interpolant, so
+    run_protocol shortens only its last step. Row 12 of the (16, size) stage
+    buffer, f at the new point, is filled by initial_step and copied into row
+    0 as a step starts, so sample() finds the last step's stages intact. Two
+    packed buffers, each with a BcsState over its views, take turns as
+    self.state and the stages' target. An attempt costs twelve RHS evaluations
+    and a step sample() reads three more; n_evals counts all, n_dense those steps.
     """
 
     def __init__(self, params, initial, rtol, atol, max_step):
@@ -106,20 +137,20 @@ class AdaptiveStepper:
         self.atol = atol
         self.max_step = max_step
         self.min_step = 1e-12 / params.grid.bandwidth
-        self.n_steps = 0
-        self.n_rejected = 0
-        self.n_evals = 0
+        self.n_steps = self.n_rejected = self.n_evals = self.n_dense = 0
         self.dt_min = self.dt_max = None
         self._err_prev = 1.0
         y = _pack(initial)
         self._bufs = [(buf, _unpack(buf, initial.t)) for buf in (y, np.empty_like(y))]
         self.state = self._bufs[0][1]
-        self._k = np.empty((13, y.size))
+        self._out = (buf := np.empty_like(y), _unpack(buf, initial.t))
+        self._dense_at = self._h = 0  # the step whose extra stages are in k; last dt
+        self._k = np.empty((16, y.size))
         self._err = np.empty((3, y.size))  # the scale, then the two error rows
 
     def initial_step(self):
-        """Evaluate f at the current state into the first stage; returns a first dt."""
-        y, f0 = self._bufs[0][0], self._k[0]
+        """Evaluate f at the current state into the FSAL stage; returns a first dt."""
+        y, f0 = self._bufs[0][0], self._k[12]
         _f(self.state, self.params, f0)
         self.n_evals += 1
         scale = self.atol + self.rtol * np.abs(y)
@@ -128,13 +159,23 @@ class AdaptiveStepper:
         dt = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
         return min(dt, self.max_step)
 
+    def _stages(self, rows, h, y, t, buf, state):
+        """Evaluate the stages in rows of a step of size h from (t, y) into self._k."""
+        a, k = h * _A, self._k
+        for i in rows:
+            np.dot(a[i, :i], k[:i], out=buf)
+            buf += y
+            state.t = t + _C[i] * h
+            _f(state, self.params, k[i])
+        self.n_evals += len(rows)
+
     def _error_norm(self, dt, y, y_new):
         """Hairer's DOP853 norm: the 5th-order estimate damped by the 3rd-order one."""
         scale, rows = self._err[0], self._err[1:]
         np.maximum(np.abs(y, out=scale), np.abs(y_new, out=rows[0]), out=scale)
         scale *= self.rtol
         scale += self.atol
-        np.dot(np.array([_E5, _E3]), self._k, out=rows)
+        np.dot(np.array([_E5, _E3]), self._k[:13], out=rows)
         rows /= scale
         e5, e3 = np.einsum("ij,ij->i", rows, rows)
         return abs(dt) * e5 / np.sqrt((e5 + 0.01 * e3) * y.size) if e5 or e3 else 0.0
@@ -143,42 +184,48 @@ class AdaptiveStepper:
         """Advance self.state by one accepted step; returns the next proposal.
 
         The proposal dt is truncated to land exactly on t_limit when it would
-        overshoot; a truncated step leaves the proposal for the next step
-        unchanged so the controller is not polluted by sampling breakpoints.
+        overshoot.
         """
-        k = self._k
         (y, state), (y_new, stage) = self._bufs
         t = state.t
+        self._k[0] = self._k[12]
         while True:
             dt_try = min(dt, self.max_step)
             hit = dt_try >= t_limit - t
             if hit:
                 dt_try = t_limit - t
-            a = dt_try * _A
-            for i in range(1, 13):
-                np.dot(a[i, :i], k[:i], out=y_new)
-                y_new += y
-                stage.t = t + _C[i] * dt_try
-                _f(stage, self.params, k[i])
-            self.n_evals += 12
+            self._stages(range(1, 13), dt_try, y, t, y_new, stage)
             err = self._error_norm(dt_try, y, y_new)
             if err <= 1.0:
                 self.n_steps += 1
+                self._h = dt_try
                 self.dt_min = min(self.dt_min or dt_try, dt_try)
                 self.dt_max = max(self.dt_max or dt_try, dt_try)
                 err_floor = max(err, 1e-16)
                 factor = min(_MAX_FACTOR,
                              _SAFETY * err_floor ** -_K_I * self._err_prev ** _K_P)
                 self._err_prev = err_floor
-                k[0] = k[12]
                 stage.t = t_limit if hit else t + dt_try
                 self._bufs.reverse()
                 self.state = stage
-                return dt if hit else dt_try * factor
+                return dt_try * factor
             self.n_rejected += 1
             dt = dt_try * max(_MIN_FACTOR, _SAFETY * err ** -0.125)
             if dt < self.min_step:
                 raise StepUnderflowError(f"step size underflow at t={t}", t=t)
+
+    def sample(self, t):
+        """The state at t inside the last accepted step; the next call overwrites it."""
+        h, (y_old, old), (buf, out) = self._h, self._bufs[1], self._out
+        if self._dense_at != self.n_steps:  # the extra stages, once per step
+            self._stages(range(13, 16), h, y_old, old.t, buf, out)
+            self.n_dense += 1
+            self._dense_at = self.n_steps
+        x = (t - old.t) / h
+        np.dot(h * (np.cumprod([x, 1.0 - x] * 3 + [x]) @ _W), self._k, out=buf)
+        buf += y_old
+        out.t = t
+        return out
 
 
 @dataclass(frozen=True)
@@ -293,8 +340,8 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12, max_step=np.i
             if stepper.n_steps + stepper.n_rejected > budget:
                 raise StepUnderflowError(
                     f"step budget {budget:.0f} exhausted at t={t}", t=t)
-            dt = stepper.step(dt, t_sample)
-        record(i, stepper.state)
+            dt = stepper.step(dt, protocol.sample_times[-1])
+        record(i, stepper.state if t == t_sample else stepper.sample(t_sample))
 
     return TimeSeries(
         t=protocol.sample_times.copy(), n=out["n"], delta=out["delta"],
@@ -308,5 +355,6 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12, max_step=np.i
             "integrator": {"method": "DOP853", "rtol": rtol, "atol": atol,
                            "max_step": max_step, "steps": stepper.n_steps,
                            "rejections": stepper.n_rejected, "rhs_evals": stepper.n_evals,
+                           "dense_steps": stepper.n_dense,
                            "dt_min": stepper.dt_min, "dt_max": stepper.dt_max},
         })

@@ -114,8 +114,11 @@ def test_run_writes_csv_and_sidecar(tmp_path):
     # Requested energies are snapped to grid modes and echoed back.
     for requested, snapped in zip([-0.1, 0.1], sidecar["tracked_energies"]):
         assert abs(requested - snapped) < 1.0 / 64
-    assert sidecar["integrator"]["steps"] > 0
-    assert 0.0 < sidecar["integrator"]["dt_min"] <= sidecar["integrator"]["dt_max"]
+    stats = sidecar["integrator"]
+    assert stats["steps"] > 0
+    assert 0.0 < stats["dt_min"] <= stats["dt_max"]
+    # Some of the 30 log samples fall inside steps and are interpolated.
+    assert 0 < stats["dense_steps"] < stats["steps"]
 
 
 def test_run_reproduces_from_sidecar(tmp_path):
@@ -241,6 +244,16 @@ def test_scan_rejects_colliding_output_paths(tmp_path, capsys):
         assert cli.main(["scan", "--config", config_path, "--axis", "gamma",
                          "--values", values, "--workers", "2"]) == cli.EXIT_CONFIG
         assert "would both write" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_scan_rejects_non_finite_values(tmp_path, capsys):
+    # A non-finite rate is a configuration error: exit 2 before any run.
+    config_path = write_config(tmp_path, base_config(tmp_path, samples=15))
+    for axis, values in (("pump", "nan"), ("gamma", "inf"), ("gamma", "0.08,-inf")):
+        assert cli.main(["scan", "--config", config_path, "--axis", axis,
+                         "--values", values]) == cli.EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 

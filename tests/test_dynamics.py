@@ -33,6 +33,12 @@ def test_params_validation():
     for alpha in (1.5, -0.1):
         with pytest.raises(ConfigurationError):
             SystemParams(u=1.0, gamma=0.1, pump=0.0, alpha=alpha, grid=grid)
+    # NaN compares False with everything, so it must not pass as a rate.
+    for bad in (np.nan, np.inf):
+        for key in ("u", "gamma", "pump"):
+            rates = {"u": 1.0, "gamma": 0.1, "pump": 0.1, key: bad}
+            with pytest.raises(ConfigurationError, match="finite"):
+                SystemParams(alpha=0.5, grid=grid, **rates)
 
 
 def test_state_shape_validation():

@@ -66,7 +66,7 @@ def test_fixed_step_order():
             y = y + dt * (weights[:12] @ k)
         return y
 
-    b = integrator._A[12]
+    b = integrator._A[12, :13]
     fine = integrate(64, b)
     for weights, low, high in ((b, 7.0, 9.0), (b - integrator._E5, 4.7, 5.7),
                                (b - integrator._E3, 2.7, 3.4)):
@@ -107,15 +107,25 @@ def test_blowup_reports_mode_and_time():
 
 
 def test_tableau_matches_hairer_dop853():
-    # The embedded tableau must equal Hairer's dop853 values bit for bit;
-    # scipy's DOP853 carries the same values.
+    # The embedded tableau, the extra stages of the dense output and the
+    # interpolant must equal Hairer's dop853 values bit for bit; scipy's
+    # DOP853 carries the same values.
     from scipy.integrate._ivp import dop853_coefficients as ref
     assert np.array_equal(integrator._A[:12, :12], ref.A[:12, :12])
     assert np.array_equal(integrator._A[12, :12], ref.B)
+    assert np.array_equal(integrator._A[13:], ref.A[13:])
     assert not np.triu(integrator._A).any()
-    assert np.array_equal(integrator._C[:12], ref.C[:12]) and integrator._C[12] == 1.0
+    assert np.array_equal(integrator._C, ref.C) and integrator._C[12] == 1.0
     assert np.array_equal(integrator._E3, ref.E3)
     assert np.array_equal(integrator._E5, ref.E5)
+    # Rows of the interpolant in the stages: scipy's F0 = dy, F1 = h f_old - dy,
+    # F2 = 2 dy - h (f_new + f_old) and F3.. = h D k, with dy = h b k.
+    e, b = np.eye(16), np.zeros(16)
+    b[:12] = ref.B
+    want = np.vstack([b, e[0] - b, 2.0 * b - e[0] - e[12], ref.D])
+    assert np.array_equal(integrator._W, want)
+    # Every stage, the extra ones included, is evaluated at t + c_i h.
+    assert np.max(np.abs(integrator._A.sum(axis=1) - integrator._C)) <= 1e-15
 
 
 def test_adaptive_step_controls_error():
@@ -182,6 +192,41 @@ def test_samples_land_exactly():
     times = log_sample_times(0.01, 30.0, 40)
     series = run_protocol(ground, params, Protocol(t_max=30.0, sample_times=times))
     assert np.array_equal(series.t, times)
+
+
+def test_samples_do_not_change_the_steps():
+    # The stepper takes its natural steps and shortens only the last one,
+    # so 400 log samples and the last sample alone give the same steps and
+    # a bit-identical last sample; the interior ones cost no extra step.
+    grid, ground, params = loss_setup(64, alpha=0.5)
+    times = log_sample_times(1e-4, 30.0, 400)
+    full = run_protocol(ground, params, Protocol(t_max=30.0, sample_times=times,
+                                                 record_modes=(0, 63)))
+    last = run_protocol(ground, params, Protocol(t_max=30.0, sample_times=times[-1:],
+                                                 record_modes=(0, 63)))
+    a, b = full.metadata["integrator"], last.metadata["integrator"]
+    assert (a["steps"], a["rejections"]) == (b["steps"], b["rejections"])
+    assert a["dense_steps"] > 0 and b["dense_steps"] == 0
+    assert a["steps"] < len(times)
+    for name in full.column_names():
+        assert full.column(name)[-1] == last.column(name)[0], name
+
+
+def test_interior_samples_match_tight_reference():
+    # Samples inside a step come from the 7th-order interpolant; they must
+    # stay within rtol of an rtol = 1e-13 run, at every sample, for both
+    # the Lindblad and the no-click dynamics.
+    times = np.linspace(0.05, 40.0, 800)
+    protocol = Protocol(t_max=40.0, sample_times=times, record_modes=(5, 40))
+    for alpha in (1.0, 0.0):
+        grid, ground, params = loss_setup(64, gamma=0.2, alpha=alpha)
+        ref = run_protocol(ground, params, protocol, rtol=1e-13, atol=1e-15)
+        for rtol in (1e-7, 1e-9):
+            got = run_protocol(ground, params, protocol, rtol=rtol, atol=1e-3 * rtol)
+            assert got.metadata["integrator"]["steps"] < 0.2 * len(times)
+            for name in got.column_names()[1:]:
+                err = np.max(np.abs(got.column(name) - ref.column(name)))
+                assert err < rtol, (alpha, rtol, name, err)
 
 
 def test_runs_are_bit_identical():
@@ -291,21 +336,25 @@ def test_record_modes_columns():
 
 
 def test_integrator_metadata():
-    # One evaluation starts the run and every attempted step costs twelve,
-    # also when the first sample is the initial time itself.
+    # One evaluation starts the run, every attempted step costs twelve and
+    # every step holding an interior sample three more, also when the first
+    # sample is the initial time itself.
     grid, ground, params = loss_setup(32)
-    steps = []
-    for times in ([5.0], [0.0, 5.0]):
+    steps, dense = [], []
+    for times in ([5.0], [0.0, 5.0], np.linspace(0.0, 5.0, 41)):
         series = run_protocol(ground, params,
                               Protocol(t_max=5.0, sample_times=np.array(times)))
         stats = series.metadata["integrator"]
         assert stats["steps"] > 0
         assert stats["rtol"] == 1e-9
         assert stats["method"] == "DOP853"
-        assert stats["rhs_evals"] == 1 + 12 * (stats["steps"] + stats["rejections"])
-        # The accepted steps, the landing step included, span the run.
+        assert stats["rhs_evals"] == (1 + 12 * (stats["steps"] + stats["rejections"])
+                                      + 3 * stats["dense_steps"])
+        # The accepted steps, the shortened last one included, span the run.
         assert 0.0 < stats["dt_min"] <= stats["dt_max"]
         assert stats["steps"] * stats["dt_min"] <= 5.0 <= stats["steps"] * stats["dt_max"]
         steps.append(stats["steps"])
-    assert steps[0] == steps[1]
+        dense.append(stats["dense_steps"])
+    assert steps[0] == steps[1] == steps[2]
+    assert dense[:2] == [0, 0] and 0 < dense[2] <= steps[2]
     assert series.metadata["params"]["gamma"] == params.gamma
