@@ -28,7 +28,7 @@ def annihilation_operators(n_modes):
 
 
 def dagger(op):
-    return op.conj().T
+    return op.conj().swapaxes(-1, -2)
 
 
 def anticommutator(a, b):

@@ -23,8 +23,8 @@ from .lattice import revival_time
 # Dormand-Prince 8(5,3) tableau: the coefficients of Hairer's dop853 code,
 # each written as the shortest decimal that rounds to the same double. Row 12
 # of _A holds the 8th-order weights, so stage 12 is f at the new point (first
-# same as last); rows 13-15 are the extra stages of the dense output. _E5 and
-# _E3 are the 5th- and 3rd-order error rows, _E3 the weights minus bhh1..bhh3.
+# same as last); rows 13-15 are the extra stages of the dense output. _E stacks
+# the 5th- and 3rd-order error rows _E5 and _E3 (the weights minus bhh1..bhh3).
 _C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
                0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
                0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
@@ -69,6 +69,7 @@ _E5[np.r_[0, 5:12]] = [0.01312004499419488, -1.2251564463762044, -0.495758949657
                        0.08192320648511571, -0.022355307863886294]
 _E3 = _A[12, :13].copy()
 _E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
+_E = np.array([_E5, _E3])
 # The dense output in stage weights: y(t_old + x h) = y_old + h w(x) k, where
 # w(x) = x (W0 + (1-x) (W1 + x (W2 + ...))) over the rows of _W, which are
 # Hairer's rcont2..rcont8 written in the stages: b, e0 - b, 2b - e0 - e12, D.
@@ -175,7 +176,7 @@ class AdaptiveStepper:
         np.maximum(np.abs(y, out=scale), np.abs(y_new, out=rows[0]), out=scale)
         scale *= self.rtol
         scale += self.atol
-        np.dot(np.array([_E5, _E3]), self._k[:13], out=rows)
+        np.dot(_E, self._k[:13], out=rows)
         rows /= scale
         e5, e3 = np.einsum("ij,ij->i", rows, rows)
         return abs(dt) * e5 / np.sqrt((e5 + 0.01 * e3) * y.size) if e5 or e3 else 0.0

@@ -154,10 +154,10 @@ def test_step_budget_stops_a_wrong_error_estimate(monkeypatch):
     # An inconsistent error row shrinks the steps without reaching min_step;
     # the budget of 1000 + samples + 100 W t steps ends the run in seconds.
     grid, ground, params = loss_setup(16, alpha=0.5)
-    bad = integrator._E5.copy()
-    bad[5] += 1e-3
-    bad[6] -= 1e-3
-    monkeypatch.setattr(integrator, "_E5", bad)
+    bad = integrator._E.copy()
+    bad[0, 5] += 1e-3
+    bad[0, 6] -= 1e-3
+    monkeypatch.setattr(integrator, "_E", bad)
     with pytest.raises(StepUnderflowError, match="step budget 1401"):
         run_protocol(ground, params, Protocol(t_max=4.0, sample_times=np.array([4.0])))
 

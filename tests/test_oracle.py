@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from hybridbcs import fock, oracle
+from hybridbcs import cli, fock, oracle
 from hybridbcs.dynamics import StateDerivative
 from hybridbcs.errors import ConfigurationError
 from hybridbcs.oracle import (
@@ -102,6 +104,28 @@ def test_exact_rhs_dimension_mismatch():
     rho = np.eye(cluster.dim) / cluster.dim
     with pytest.raises(ConfigurationError):
         exact_hybrid_rhs(rho, np.eye(4), [], 1.0, cluster.occupation_operator(0))
+    # Observable stacks whose last dimension does not match the state.
+    for shape in ((4, 8, 8), (4, cluster.dim, 8)):
+        with pytest.raises(ConfigurationError):
+            exact_hybrid_rhs(rho, np.eye(cluster.dim), [], 1.0, np.zeros(shape))
+
+
+@pytest.mark.parametrize("n_sites", [2, 3])
+def test_exact_rhs_stack_matches_single_observables(n_sites):
+    cluster = MomentumCluster(cluster_grid(n_sites).energies)
+    state = random_physical_state(np.random.default_rng(21), n_sites)
+    rho = cluster.gaussian_state(state.n_k, state.d_k)
+    h = cluster.mean_field_hamiltonian(np.mean(state.d_k), 1.0)
+    singles = ([cluster.occupation_operator(m) for m in range(n_sites)]
+               + [cluster.pairing_operator(m) for m in range(n_sites)])
+    for gamma, pump in ((0.0, 0.0), (0.3, 0.0), (0.3, 0.25)):
+        losses, pumps = cluster.jump_operators(gamma, pump)
+        for alpha in (0.0, 0.5, 1.0):
+            stacked = exact_hybrid_rhs(rho, h, losses + pumps, alpha, cluster.observables)
+            one_by_one = [exact_hybrid_rhs(rho, h, losses + pumps, alpha, op)
+                          for op in singles]
+            assert stacked.shape == (2 * n_sites,)
+            assert np.max(np.abs(stacked - one_by_one)) <= 1e-14, (gamma, pump, alpha)
 
 
 def test_exact_rhs_lindblad_trace_preserved():
@@ -130,18 +154,60 @@ def test_eom_suite_three_sites():
 
 
 def test_eom_suite_catches_corruption(monkeypatch):
-    # Negative controls: a 1e-3 perturbation of either equation must trip
-    # the 1e-10 gate.
+    # Negative controls: a 1e-3 perturbation of one mode of either equation,
+    # or rhs_total evaluated at a slightly wrong alpha, must trip the 1e-10
+    # gate, and the report names the perturbed operator and mode.
     exact = oracle.rhs_total
-    for shift_n, shift_d in ((1e-3, 0.0), (0.0, 1e-3)):
-        def perturbed(state, params, shift_n=shift_n, shift_d=shift_d):
+
+    def shifted(shift_n, shift_d):
+        def perturbed(state, params):
             deriv = exact(state, params)
             return StateDerivative(deriv.dn_k + shift_n, deriv.dd_k + shift_d)
+        return perturbed
 
+    def wrong_alpha(state, params):
+        return exact(state, dataclasses.replace(params, alpha=min(params.alpha + 0.05, 1.0)))
+
+    mode_1 = np.array([0.0, 1e-3])
+    for perturbed, detail in ((shifted(mode_1, 0.0), "operator=n_k mode=1 "),
+                              (shifted(0.0, mode_1), "operator=Delta_k mode=1 "),
+                              (wrong_alpha, "")):
         monkeypatch.setattr(oracle, "rhs_total", perturbed)
         report = run_eom_suite(seeds=2, n_sites=2)
         assert not report.passed
         assert report.worst_residual > 1e-4
+        assert detail in report.detail, report.detail
+
+
+def test_nan_residual_fails_eom_suite_and_cli(monkeypatch, capsys):
+    # NaN loses every `>` comparison; a suite that keeps its worst residual
+    # with `>` alone would pass it.
+    exact = oracle.rhs_total
+
+    def nan_rhs(state, params):
+        deriv = exact(state, params)
+        return StateDerivative(deriv.dn_k + np.nan, deriv.dd_k)
+
+    monkeypatch.setattr(oracle, "rhs_total", nan_rhs)
+    report = run_eom_suite(seeds=2, n_sites=2)
+    assert not report.passed
+    assert report.worst_residual == np.inf
+    assert cli.main(["oracle", "--seeds", "2"]) == cli.EXIT_ORACLE
+    assert "[FAIL] eom-equivalence" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target, fake, suite", [
+    ("check_hf_trace_identity", lambda **kwargs: np.nan, run_hf_suite),
+    ("check_norm_conserving_equivalence", lambda *args: (np.nan, 0.0),
+     run_norm_conserving_suite),
+    # Residuals with the expected dt^2 slope but a NaN trace defect.
+    ("check_norm_conserving_equivalence", lambda *args: (args[-1] ** 2, np.nan),
+     run_norm_conserving_suite),
+    ("exact_hybrid_rhs", lambda *args: np.nan, run_nh_suite),
+])
+def test_nan_residual_fails_the_other_suites(monkeypatch, target, fake, suite):
+    monkeypatch.setattr(oracle, target, fake)
+    assert not suite(seeds=2).passed
 
 
 def test_hf_suite():
