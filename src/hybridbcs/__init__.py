@@ -4,7 +4,6 @@ from .lattice import BandGrid, build_flat_band, revival_time
 from .equilibrium import GapSolution, solve_gap, continuum_gap, build_ground_state
 from .dynamics import (
     BcsState,
-    StateDerivative,
     SystemParams,
     density,
     order_parameter,
@@ -49,7 +48,6 @@ __all__ = [
     "PlateauReport",
     "PowerLawFit",
     "Protocol",
-    "StateDerivative",
     "StepUnderflowError",
     "SystemParams",
     "TimeSeries",

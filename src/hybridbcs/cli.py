@@ -64,14 +64,18 @@ def validate_config(raw):
             if key not in _SCHEMA[section]:
                 raise ConfigurationError(f"unknown config key: {section}.{key}")
             expected = _SCHEMA[section][key]
-            if expected is float and isinstance(value, (int, float)) \
-                    and not isinstance(value, bool):
+            # type() rather than isinstance(), which would let bools in.
+            if expected is float and type(value) in (int, float):
                 if not math.isfinite(value):
                     raise ConfigurationError(f"config key {section}.{key} must be finite")
                 continue
             if not isinstance(value, expected) or isinstance(value, bool):
                 raise ConfigurationError(
                     f"config key {section}.{key} must be {expected.__name__}")
+            if expected is list and not all(type(v) in (int, float) and math.isfinite(v)
+                                            for v in value):
+                raise ConfigurationError(
+                    f"config key {section}.{key} must hold finite numbers")
     for section, keys in _REQUIRED.items():
         if section not in raw:
             raise ConfigurationError(f"missing config section: {section}")

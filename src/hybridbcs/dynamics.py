@@ -54,12 +54,20 @@ class BcsState:
             raise ConfigurationError("n_k and d_k must have the same length")
 
 
-@dataclass
-class StateDerivative:
-    """Time derivative with the same shape as BcsState."""
+def _pack(state):
+    """The packed state y = [n_k, Re Delta_0, Im Delta_0, Re Delta_1, ...]."""
+    return np.concatenate([state.n_k, np.ascontiguousarray(state.d_k).view(float)])
 
-    dn_k: np.ndarray
-    dd_k: np.ndarray
+
+def _split(y):
+    """Views of a packed state or derivative: (y[:M], y[M:] read as complex)."""
+    m = y.size // 3
+    return y[:m], y[m:].view(complex)
+
+
+def _unpack(y, t):
+    """A BcsState over the views of y."""
+    return BcsState(t, *_split(y))
 
 
 def density(state, grid):
@@ -94,6 +102,8 @@ def pseudospin(state, grid):
 
 def rhs_total(state, params):
     """Hybrid generator: Lindblad + (alpha-1)-weighted loss and pump terms.
+
+    Returns the packed derivative [dn_k, Re dDelta_0, Im dDelta_0, ...] (see _split).
 
     With Phi = (-|U| + i(Gamma - P)) Delta the gap field, hole = 1 - n/2 and
     h_k = 1 - n_k, the Lindblad part is
@@ -132,10 +142,8 @@ def rhs_total(state, params):
     a0 = 2.0 * (pump + c_p) * hole
     a1 = -gamma * n - 2.0 * (pump + 2.0 * c_p) * hole
     c0 = 1j * phi + 2.0 * c_p * delta
-    # One packed [dn_k, Re dDelta_0, Im dDelta_0, ...] array: the integrator's layout.
-    m = n_k.size
-    out = np.empty(3 * m)
-    dn, dd = out[:m], out[m:].view(complex)
+    out = np.empty(3 * n_k.size)
+    dn, dd = _split(out)
     # dn_k = u.Delta_k + rest_k and dDelta_k = coef_k Delta_k + source_k.
     np.dot(d2, [-2.0 * phi.imag + 4.0 * c_p * delta.real,
                 2.0 * phi.real + 4.0 * c_p * delta.imag], out=dn)
@@ -167,7 +175,7 @@ def rhs_total(state, params):
         mode = int(np.argmin(np.isfinite(dn) & np.isfinite(dd)))
         raise BlowupError(f"non-finite derivative at mode {mode}, t={state.t}",
                           t=state.t, mode=mode)
-    return StateDerivative(dn, dd)
+    return out
 
 
 def particle_hole_transform(state, grid):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import BcsState, density, order_parameter, pseudospin, rhs_total
+from .dynamics import _pack, _unpack, density, order_parameter, pseudospin, rhs_total
 from .errors import ConfigurationError, StepUnderflowError
 from .lattice import revival_time
 
@@ -101,23 +101,6 @@ _BUDGET_BASE = 1000
 _BUDGET_PER_WT = 100
 
 
-def _pack(state):
-    """The packed state y = [n_k, Re Delta_0, Im Delta_0, Re Delta_1, ...]."""
-    return np.concatenate([state.n_k, np.ascontiguousarray(state.d_k).view(float)])
-
-
-def _unpack(y, t):
-    """A BcsState over views of y: n_k = y[:M] and d_k = y[M:] read as complex."""
-    m = y.size // 3
-    return BcsState(t=t, n_k=y[:m], d_k=y[m:].view(complex))
-
-
-def _f(state, params, out):
-    """Write the packed derivative at state into out."""
-    deriv = rhs_total(state, params)
-    np.concatenate([deriv.dn_k, deriv.dd_k.view(float)], out=out)
-
-
 class AdaptiveStepper:
     """Embedded 8(5,3) stepper with PI control, FSAL reuse and dense output.
 
@@ -152,7 +135,7 @@ class AdaptiveStepper:
     def initial_step(self):
         """Evaluate f at the current state into the FSAL stage; returns a first dt."""
         y, f0 = self._bufs[0][0], self._k[12]
-        _f(self.state, self.params, f0)
+        f0[:] = rhs_total(self.state, self.params)
         self.n_evals += 1
         scale = self.atol + self.rtol * np.abs(y)
         d0 = np.sqrt(np.mean((y / scale) ** 2))
@@ -167,7 +150,7 @@ class AdaptiveStepper:
             np.dot(a[i, :i], k[:i], out=buf)
             buf += y
             state.t = t + _C[i] * h
-            _f(state, self.params, k[i])
+            k[i] = rhs_total(state, self.params)
         self.n_evals += len(rows)
 
     def _error_norm(self, dt, y, y_new):

@@ -17,6 +17,7 @@ import pytest
 from hybridbcs import cli
 from hybridbcs.dynamics import (
     SystemParams,
+    _split,
     particle_hole_transform,
     rhs_total,
 )
@@ -275,11 +276,11 @@ def test_criterion_8_duality_and_determinism(record_criterion, tmp_path,
         alpha = rng.uniform(0.0, 1.0)
         forward = SystemParams(u=1.0, gamma=0.3, pump=0.2, alpha=alpha, grid=grid)
         dual = SystemParams(u=1.0, gamma=0.2, pump=0.3, alpha=alpha, grid=grid)
-        d1 = rhs_total(state, forward)
-        d2 = rhs_total(particle_hole_transform(state, grid), dual)
+        dn1, dd1 = _split(rhs_total(state, forward))
+        dn2, dd2 = _split(rhs_total(particle_hole_transform(state, grid), dual))
         duality = max(duality,
-                      float(np.max(np.abs(d2.dn_k + d1.dn_k[partner]))),
-                      float(np.max(np.abs(d2.dd_k + np.conj(d1.dd_k[partner])))))
+                      float(np.max(np.abs(dn2 + dn1[partner]))),
+                      float(np.max(np.abs(dd2 + np.conj(dd1[partner])))))
     ok_duality = duality <= 1e-12
 
     ground = build_ground_state(grid, solve_gap(grid, 1.0))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hybridbcs import cli, oracle
-from hybridbcs.dynamics import StateDerivative
+from hybridbcs.dynamics import _split
 from hybridbcs.errors import ConfigurationError, IntegrationError
 from hybridbcs.observables import collapse_index, detect_plateau
 
@@ -65,6 +65,18 @@ def test_validate_rejects_wrong_types(tmp_path):
     cfg["integrator"] = {"max_step_w": float("inf")}
     with pytest.raises(ConfigurationError, match="integrator.max_step_w"):
         cli.validate_config(cfg)
+
+
+def test_validate_rejects_bad_track_energies(tmp_path):
+    # Each entry must be a finite number, before any run writes a file.
+    for bad in (["x"], [float("nan")], [True], [0.1, float("inf")], [[0.1]]):
+        cfg = base_config(tmp_path)
+        cfg["output"]["track_energies"] = bad
+        with pytest.raises(ConfigurationError, match="output.track_energies"):
+            cli.validate_config(cfg)
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_validate_rejects_missing_sections(tmp_path):
@@ -330,7 +342,8 @@ def test_oracle_corrupt_exit_code(capsys, monkeypatch):
 
     def perturbed(state, params):
         deriv = exact(state, params)
-        return StateDerivative(deriv.dn_k, deriv.dd_k + 1e-3)
+        _split(deriv)[1][:] += 1e-3
+        return deriv
 
     monkeypatch.setattr(oracle, "rhs_total", perturbed)
     assert cli.main(["oracle", "--seeds", "2"]) == cli.EXIT_ORACLE

@@ -4,6 +4,7 @@ import pytest
 from hybridbcs.dynamics import (
     BcsState,
     SystemParams,
+    _split,
     density,
     order_parameter,
     particle_hole_transform,
@@ -60,8 +61,8 @@ def test_gap_field():
     grid = build_flat_band(1.0, 4)
     state = BcsState(t=0.0, n_k=np.zeros(4), d_k=np.full(4, 0.3 + 0j))
     params = SystemParams(u=2.0, gamma=0.5, pump=0.2, alpha=1.0, grid=grid)
-    deriv = rhs_total(state, params)
-    phi = -1j * (deriv.dd_k - (2j * grid.energies - 0.4) * state.d_k)
+    dn_k, dd_k = _split(rhs_total(state, params))
+    phi = -1j * (dd_k - (2j * grid.energies - 0.4) * state.d_k)
     assert np.max(np.abs(phi - (-2.0 + 0.3j) * 0.3)) < 1e-15
 
 
@@ -70,16 +71,16 @@ def test_single_mode_pure_loss():
     grid = single_mode_grid()
     state = BcsState(t=0.0, n_k=np.array([0.5]), d_k=np.array([0.0j]))
     params = SystemParams(u=0.0, gamma=0.4, pump=0.0, alpha=1.0, grid=grid)
-    deriv = rhs_total(state, params)
-    assert abs(deriv.dn_k[0] - (-0.4 * 1.0 * 0.5)) < 1e-15
+    dn_k, dd_k = _split(rhs_total(state, params))
+    assert abs(dn_k[0] - (-0.4 * 1.0 * 0.5)) < 1e-15
 
 
 def test_vacuum_pump_fills_at_rate_2p():
     grid = single_mode_grid()
     state = BcsState(t=0.0, n_k=np.array([0.0]), d_k=np.array([0.0j]))
     params = SystemParams(u=0.0, gamma=0.0, pump=0.3, alpha=1.0, grid=grid)
-    deriv = rhs_total(state, params)
-    assert abs(deriv.dn_k[0] - 0.6) < 1e-15
+    dn_k, dd_k = _split(rhs_total(state, params))
+    assert abs(dn_k[0] - 0.6) < 1e-15
 
 
 def test_free_precession():
@@ -88,9 +89,9 @@ def test_free_precession():
     rng = np.random.default_rng(0)
     state = random_state(rng, 8)
     params = SystemParams(u=0.0, gamma=0.0, pump=0.0, alpha=0.5, grid=grid)
-    deriv = rhs_total(state, params)
-    assert np.max(np.abs(deriv.dn_k)) < 1e-15
-    assert np.max(np.abs(deriv.dd_k - 2j * grid.energies * state.d_k)) < 1e-15
+    dn_k, dd_k = _split(rhs_total(state, params))
+    assert np.max(np.abs(dn_k)) < 1e-15
+    assert np.max(np.abs(dd_k - 2j * grid.energies * state.d_k)) < 1e-15
 
 
 def test_hybrid_corrections_absent_at_alpha_one():
@@ -110,9 +111,9 @@ def test_hybrid_corrections_absent_at_alpha_one():
               + 2.0 * pump * hole * (1.0 - state.n_k))
         dd = ((2j * grid.energies - gamma * n - 2.0 * pump * hole) * state.d_k
               - 1j * phi * (2.0 * state.n_k - 1.0))
-        deriv = rhs_total(state, params)
-        assert np.max(np.abs(deriv.dn_k - dn)) < 1e-14
-        assert np.max(np.abs(deriv.dd_k - dd)) < 1e-14
+        dn_k, dd_k = _split(rhs_total(state, params))
+        assert np.max(np.abs(dn_k - dn)) < 1e-14
+        assert np.max(np.abs(dd_k - dd)) < 1e-14
 
 
 def reference_rhs(state, params):
@@ -161,10 +162,10 @@ def test_rhs_matches_term_by_term_reference():
                     state = BcsState(t=0.0, n_k=state.n_k, d_k=strided[::2])
                     assert not state.d_k.flags.c_contiguous
                 dn, dd = reference_rhs(state, params)
-                deriv = rhs_total(state, params)
+                dn_k, dd_k = _split(rhs_total(state, params))
                 worst = max(worst,
-                            np.max(np.abs(deriv.dn_k - dn)) / np.max(np.abs(dn)),
-                            np.max(np.abs(deriv.dd_k - dd)) / np.max(np.abs(dd)))
+                            np.max(np.abs(dn_k - dn)) / np.max(np.abs(dn)),
+                            np.max(np.abs(dd_k - dd)) / np.max(np.abs(dd)))
     assert worst < 1e-13
 
 
@@ -178,8 +179,7 @@ def test_hybrid_split_composition():
 
     def rhs(state, gamma, pump, a):
         params = SystemParams(u=1.0, gamma=gamma, pump=pump, alpha=a, grid=grid)
-        deriv = rhs_total(state, params)
-        return np.concatenate([deriv.dn_k, deriv.dd_k])
+        return np.concatenate(_split(rhs_total(state, params)))
 
     def correction(state, gamma, pump, a):
         return rhs(state, gamma, pump, a) - rhs(state, gamma, pump, 1.0)
@@ -202,16 +202,17 @@ def test_lindblad_density_sum_rule():
     rng = np.random.default_rng(3)
     state = random_state(rng, 16)
     params = SystemParams(u=1.0, gamma=0.3, pump=0.0, alpha=1.0, grid=grid)
-    deriv = rhs_total(state, params)
-    dn_total = 2.0 * np.sum(grid.weights * deriv.dn_k)
+    dn_k, dd_k = _split(rhs_total(state, params))
+    dn_total = 2.0 * np.sum(grid.weights * dn_k)
     n = density(state, grid)
     delta = order_parameter(state, grid)
     assert abs(dn_total - (-4.0 * 0.3 * abs(delta) ** 2 - 0.3 * n ** 2)) < 1e-13
 
 
 def zeta_dot(state, deriv):
-    return (8.0 * np.real(np.conj(state.d_k) * deriv.dd_k)
-            + 4.0 * (2.0 * state.n_k - 1.0) * deriv.dn_k)
+    dn_k, dd_k = _split(deriv)
+    return (8.0 * np.real(np.conj(state.d_k) * dd_k)
+            + 4.0 * (2.0 * state.n_k - 1.0) * dn_k)
 
 
 def test_unit_pseudospin_shell_invariant_at_alpha_zero():
@@ -249,11 +250,11 @@ def test_particle_hole_duality():
         a = rng.uniform(0.0, 1.0)
         forward = SystemParams(u=1.0, gamma=0.3, pump=0.2, alpha=a, grid=grid)
         dual = SystemParams(u=1.0, gamma=0.2, pump=0.3, alpha=a, grid=grid)
-        d1 = rhs_total(state, forward)
-        d2 = rhs_total(particle_hole_transform(state, grid), dual)
+        dn1, dd1 = _split(rhs_total(state, forward))
+        dn2, dd2 = _split(rhs_total(particle_hole_transform(state, grid), dual))
         worst = max(worst,
-                    np.max(np.abs(d2.dn_k + d1.dn_k[partner])),
-                    np.max(np.abs(d2.dd_k + np.conj(d1.dd_k[partner]))))
+                    np.max(np.abs(dn2 + dn1[partner])),
+                    np.max(np.abs(dd2 + np.conj(dd1[partner]))))
     assert worst < 1e-12
 
 

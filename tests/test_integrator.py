@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson, solve_ivp
 
-from hybridbcs.dynamics import BcsState, SystemParams, density, rhs_total
+from hybridbcs.dynamics import BcsState, SystemParams, _pack, _unpack, density, rhs_total
 from hybridbcs.equilibrium import build_ground_state, solve_gap
 from hybridbcs import integrator
 from hybridbcs.errors import BlowupError, ConfigurationError, StepUnderflowError
@@ -53,16 +53,15 @@ def test_fixed_step_order():
     t_end = 0.5
 
     def integrate(n_steps, weights):
-        y = integrator._pack(ground)
+        y = _pack(ground)
         k = np.empty((12, y.size))
         dt = t_end / n_steps
         for step in range(n_steps):
             t = step * dt
-            integrator._f(integrator._unpack(y, t), params, k[0])
+            k[0] = rhs_total(_unpack(y, t), params)
             for i in range(1, 12):
                 stage = y + dt * (integrator._A[i, :i] @ k[:i])
-                integrator._f(integrator._unpack(stage, t + integrator._C[i] * dt),
-                              params, k[i])
+                k[i] = rhs_total(_unpack(stage, t + integrator._C[i] * dt), params)
             y = y + dt * (weights[:12] @ k)
         return y
 
@@ -81,13 +80,13 @@ def test_pack_layout_round_trip():
     rng = np.random.default_rng(4)
     state = BcsState(t=0.7, n_k=rng.uniform(0.0, 1.0, 6),
                      d_k=rng.normal(size=6) + 1j * rng.normal(size=6))
-    y = integrator._pack(state)
-    back = integrator._unpack(y, state.t)
+    y = _pack(state)
+    back = _unpack(y, state.t)
     assert back.n_k.tobytes() == state.n_k.tobytes()
     assert back.d_k.tobytes() == state.d_k.tobytes()
     assert back.t == state.t and y[7] == state.d_k[0].imag
     assert np.shares_memory(back.n_k, y) and np.shares_memory(back.d_k, y)
-    assert integrator._pack(back).tobytes() == y.tobytes()
+    assert _pack(back).tobytes() == y.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -248,13 +247,10 @@ def test_matches_scipy_reference():
                           rtol=1e-10, atol=1e-13)
 
     def rhs(t, y):
-        m = y.size // 3
-        state = BcsState(t=t, n_k=y[:m], d_k=y[m:2 * m] + 1j * y[2 * m:])
-        deriv = rhs_total(state, params)
-        return np.concatenate([deriv.dn_k, deriv.dd_k.real, deriv.dd_k.imag])
+        return rhs_total(_unpack(y, t), params)
 
-    y0 = np.concatenate([ground.n_k, ground.d_k.real, ground.d_k.imag])
-    sol = solve_ivp(rhs, (0.0, t_end), y0, rtol=1e-10, atol=1e-13, method="RK45")
+    sol = solve_ivp(rhs, (0.0, t_end), _pack(ground), rtol=1e-10, atol=1e-13,
+                    method="RK45")
     n_ref = 2.0 * np.sum(grid.weights * sol.y[:64, -1])
     assert abs(series.n[-1] - n_ref) < 1e-7
 

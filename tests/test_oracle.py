@@ -3,13 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+from scipy.linalg import expm
+
 from hybridbcs import cli, fock, oracle
-from hybridbcs.dynamics import StateDerivative
+from hybridbcs.dynamics import _split
 from hybridbcs.errors import ConfigurationError
 from hybridbcs.oracle import (
     MomentumCluster,
     cluster_grid,
     exact_hybrid_rhs,
+    propagated_rhs,
     random_physical_state,
     run_all_checks,
     run_eom_suite,
@@ -162,7 +165,10 @@ def test_eom_suite_catches_corruption(monkeypatch):
     def shifted(shift_n, shift_d):
         def perturbed(state, params):
             deriv = exact(state, params)
-            return StateDerivative(deriv.dn_k + shift_n, deriv.dd_k + shift_d)
+            dn_k, dd_k = _split(deriv)
+            dn_k += shift_n
+            dd_k += shift_d
+            return deriv
         return perturbed
 
     def wrong_alpha(state, params):
@@ -186,7 +192,8 @@ def test_nan_residual_fails_eom_suite_and_cli(monkeypatch, capsys):
 
     def nan_rhs(state, params):
         deriv = exact(state, params)
-        return StateDerivative(deriv.dn_k + np.nan, deriv.dd_k)
+        _split(deriv)[0][:] = np.nan
+        return deriv
 
     monkeypatch.setattr(oracle, "rhs_total", nan_rhs)
     report = run_eom_suite(seeds=2, n_sites=2)
@@ -198,16 +205,72 @@ def test_nan_residual_fails_eom_suite_and_cli(monkeypatch, capsys):
 
 @pytest.mark.parametrize("target, fake, suite", [
     ("check_hf_trace_identity", lambda **kwargs: np.nan, run_hf_suite),
-    ("check_norm_conserving_equivalence", lambda *args: (np.nan, 0.0),
-     run_norm_conserving_suite),
-    # Residuals with the expected dt^2 slope but a NaN trace defect.
-    ("check_norm_conserving_equivalence", lambda *args: (args[-1] ** 2, np.nan),
-     run_norm_conserving_suite),
     ("exact_hybrid_rhs", lambda *args: np.nan, run_nh_suite),
+    ("propagated_rhs", lambda *args: np.nan, run_norm_conserving_suite),
+    ("propagated_rhs", lambda *args: np.nan, run_nh_suite),
 ])
 def test_nan_residual_fails_the_other_suites(monkeypatch, target, fake, suite):
     monkeypatch.setattr(oracle, target, fake)
     assert not suite(seeds=2).passed
+
+
+def mutated_reference(mutation):
+    """exact_hybrid_rhs with one term changed where alpha is strictly inside (0, 1)."""
+    exact = oracle.exact_hybrid_rhs
+
+    def reference(rho, hamiltonian, jumps, alpha, observable):
+        ev = lambda op: np.einsum("ij,...ji->...", rho, op) / np.trace(rho)
+        shift = 0.0
+        for jump in jumps:
+            jd = fock.dagger(jump)
+            if mutation == "alpha^2 recycling":
+                recycle = (ev(jd @ fock.commutator(observable, jump))
+                           - ev(fock.commutator(observable, jd) @ jump))
+                shift += 0.5 * (alpha ** 2 - alpha) * recycle
+            else:
+                # The disconnected -2 <J^dag J><O> term gets the weight w, not 1.
+                w = 0.0 if mutation == "no disconnected term" else 1 - alpha * (1 - alpha)
+                shift += (alpha - 1.0) * (1.0 - w) * ev(jd @ jump) * ev(observable)
+        return exact(rho, hamiltonian, jumps, alpha, observable) + shift
+
+    return reference
+
+
+@pytest.mark.parametrize("mutation", ["alpha^2 recycling", "1 - alpha(1 - alpha) disconnected",
+                                      "no disconnected term"])
+def test_propagator_suite_catches_reference_mutations(monkeypatch, mutation):
+    # Each mutation leaves the reference unchanged at alpha = 1, and the first
+    # two at alpha = 0 as well: only the alpha = 0.5 comparison can see them.
+    monkeypatch.setattr(oracle, "exact_hybrid_rhs", mutated_reference(mutation))
+    report = run_norm_conserving_suite(seeds=2)
+    assert not report.passed
+    assert report.worst_residual > 1e-3
+    assert "alpha=0.5" in report.detail
+
+
+def test_propagated_rhs_matches_the_propagator():
+    # The derivative of Tr(e^{tL} rho O) / Tr(e^{tL} rho) from a fourth-order
+    # central difference of the dense propagator of the 256 x 256 Liouvillian.
+    cluster = MomentumCluster([-0.4, 0.4])
+    state = random_physical_state(np.random.default_rng(31), 2)
+    rho = cluster.gaussian_state(state.n_k, state.d_k)
+    h = cluster.mean_field_hamiltonian(np.mean(state.d_k), 1.0)
+    losses, pumps = cluster.jump_operators(0.3, 0.2)
+    basis = np.eye(cluster.dim ** 2).reshape(-1, cluster.dim, cluster.dim)
+    obs = cluster.observables
+    for alpha in (0.0, 0.5, 1.0):
+        columns = [oracle._hybrid_liouvillian(e, h, losses + pumps, alpha).ravel()
+                   for e in basis]
+        superop = np.array(columns).T
+
+        def value(t):
+            rho_t = (expm(t * superop) @ rho.ravel()).reshape(rho.shape)
+            return np.einsum("ij,kji->k", rho_t, obs) / np.trace(rho_t)
+
+        dt = 1e-3
+        fd = (8.0 * (value(dt) - value(-dt)) - (value(2 * dt) - value(-2 * dt))) / (12 * dt)
+        exact = propagated_rhs(rho, h, losses + pumps, alpha, obs)
+        assert np.max(np.abs(fd - exact)) < 1e-9, alpha
 
 
 def test_hf_suite():
