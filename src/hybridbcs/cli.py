@@ -38,7 +38,7 @@ _SCHEMA = {
     "interaction": {"u_over_w": float},
     "dissipation": {"gamma_over_u": float, "p_over_u": float, "alpha": float},
     "time": {"t_max_w": float, "samples": int, "spacing": str},
-    "integrator": {"rtol": float, "atol": float, "max_step_w": float},
+    "integrator": {"rtol": float, "atol": float},
     "output": {"path": str, "track_energies": list},
 }
 _REQUIRED = {
@@ -64,16 +64,17 @@ def validate_config(raw):
             if key not in _SCHEMA[section]:
                 raise ConfigurationError(f"unknown config key: {section}.{key}")
             expected = _SCHEMA[section][key]
-            # type() rather than isinstance(), which would let bools in.
+            # type() rather than isinstance(), which would let bools in; the bound
+            # rejects NaN, inf and an int too large for a float (isfinite raises).
             if expected is float and type(value) in (int, float):
-                if not math.isfinite(value):
+                if not abs(value) <= sys.float_info.max:
                     raise ConfigurationError(f"config key {section}.{key} must be finite")
                 continue
             if not isinstance(value, expected) or isinstance(value, bool):
                 raise ConfigurationError(
                     f"config key {section}.{key} must be {expected.__name__}")
-            if expected is list and not all(type(v) in (int, float) and math.isfinite(v)
-                                            for v in value):
+            if expected is list and not all(
+                    type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value):
                 raise ConfigurationError(
                     f"config key {section}.{key} must hold finite numbers")
     for section, keys in _REQUIRED.items():
@@ -90,12 +91,7 @@ def resolve_config(raw):
     """Validate and fill defaults; returns a fully explicit config dict."""
     validate_config(raw)
     cfg = {section: dict(content) for section, content in raw.items()}
-    integ = dict(_INTEGRATOR_DEFAULTS)
-    # No step can exceed the horizon, so t_max_w bounds the step as
-    # infinity would, and keeps the sidecar strict JSON.
-    integ["max_step_w"] = cfg["time"]["t_max_w"]
-    integ.update(cfg.get("integrator", {}))
-    cfg["integrator"] = integ
+    cfg["integrator"] = {**_INTEGRATOR_DEFAULTS, **cfg.get("integrator", {})}
     cfg["output"].setdefault("track_energies", [])
     return cfg
 
@@ -124,14 +120,13 @@ def assemble(cfg):
     else:
         times = linear_sample_times(t_max, samples)
     track = [grid.nearest_mode(e * width) for e in cfg["output"]["track_energies"]]
-    protocol = Protocol(t_max=t_max, sample_times=times, record_modes=track)
+    protocol = Protocol(sample_times=times, record_modes=track)
     initial = build_ground_state(grid, solve_gap(grid, u))
     return grid, params, protocol, initial
 
 
 def write_csv(path, series):
-    names = series.column_names()
-    columns = [series.column(name) for name in names]
+    names, columns = zip(*series.columns())
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(names)
@@ -153,14 +148,12 @@ def write_sidecar(path, cfg, grid, series):
         handle.write("\n")
 
 
-def execute_run(cfg, out_path=None):
-    """One full run from a resolved config; returns the TimeSeries."""
+def execute_run(cfg):
+    """One full run from a resolved config into its output.path; returns the TimeSeries."""
     grid, params, protocol, initial = assemble(cfg)
     integ = cfg["integrator"]
-    max_step = integ["max_step_w"] / cfg["band"]["width"]
-    series = run_protocol(initial, params, protocol,
-                          rtol=integ["rtol"], atol=integ["atol"], max_step=max_step)
-    path = out_path if out_path is not None else cfg["output"]["path"]
+    series = run_protocol(initial, params, protocol, rtol=integ["rtol"], atol=integ["atol"])
+    path = cfg["output"]["path"]
     write_csv(path, series)
     write_sidecar(_sidecar_path(path), cfg, grid, series)
     return series
@@ -193,9 +186,8 @@ _AXIS_KEYS = {"alpha": ("dissipation", "alpha"), "gamma": ("dissipation", "gamma
               "pump": ("dissipation", "p_over_u")}
 
 
-def _scan_one(cfg_and_path):
-    cfg, path = cfg_and_path
-    series = execute_run(cfg, out_path=path)
+def _scan_one(cfg):
+    series = execute_run(cfg)
     t_hi = float(series.t[-1])
     window = (t_hi / 10.0, t_hi)
     try:
@@ -246,7 +238,7 @@ def cmd_scan(args):
         run_cfg = json.loads(json.dumps(cfg))
         run_cfg[section][key] = value
         run_cfg["output"]["path"] = path
-        jobs.append((run_cfg, path))
+        jobs.append(run_cfg)
 
     rows = []
     failures = 0
@@ -257,11 +249,12 @@ def cmd_scan(args):
         else:
             results = [pool.submit(_scan_one, job).result for job in jobs]
         for value, job, result in zip(values, jobs, results):
+            path = job["output"]["path"]
             try:
-                rows.append((value, job[1], result(), None))
+                rows.append((value, path, result(), None))
             except (IntegrationError, ConfigurationError) as exc:
                 failures += 1
-                rows.append((value, job[1], None, str(exc)))
+                rows.append((value, path, None, str(exc)))
 
     summary = f"{root}_{args.axis}_summary{ext}"
     with open(summary, "w", newline="") as handle:

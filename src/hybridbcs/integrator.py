@@ -95,7 +95,7 @@ _MAX_FACTOR = 10.0
 # PI controller exponents; Hairer's error norm scales like dt^8.
 _K_I = 0.7 / 8.0
 _K_P = 0.4 / 8.0
-# A run may take _BUDGET_BASE + samples + _BUDGET_PER_WT W (t_max - t0) steps,
+# A run may take _BUDGET_BASE + samples + _BUDGET_PER_WT W (t_end - t0) steps,
 # rejections included; converged runs take about 10 per unit W t at rtol 1e-12.
 _BUDGET_BASE = 1000
 _BUDGET_PER_WT = 100
@@ -113,13 +113,12 @@ class AdaptiveStepper:
     and a step sample() reads three more; n_evals counts all, n_dense those steps.
     """
 
-    def __init__(self, params, initial, rtol, atol, max_step):
+    def __init__(self, params, initial, rtol, atol):
         if rtol <= 0 or atol <= 0:
             raise ConfigurationError("rtol and atol must be positive")
         self.params = params
         self.rtol = rtol
         self.atol = atol
-        self.max_step = max_step
         self.min_step = 1e-12 / params.grid.bandwidth
         self.n_steps = self.n_rejected = self.n_evals = self.n_dense = 0
         self.dt_min = self.dt_max = None
@@ -140,8 +139,7 @@ class AdaptiveStepper:
         scale = self.atol + self.rtol * np.abs(y)
         d0 = np.sqrt(np.mean((y / scale) ** 2))
         d1 = np.sqrt(np.mean((f0 / scale) ** 2))
-        dt = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
-        return min(dt, self.max_step)
+        return 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
 
     def _stages(self, rows, h, y, t, buf, state):
         """Evaluate the stages in rows of a step of size h from (t, y) into self._k."""
@@ -174,10 +172,8 @@ class AdaptiveStepper:
         t = state.t
         self._k[0] = self._k[12]
         while True:
-            dt_try = min(dt, self.max_step)
-            hit = dt_try >= t_limit - t
-            if hit:
-                dt_try = t_limit - t
+            hit = dt >= t_limit - t
+            dt_try = t_limit - t if hit else dt
             self._stages(range(1, 13), dt_try, y, t, y_new, stage)
             err = self._error_norm(dt_try, y, y_new)
             if err <= 1.0:
@@ -214,9 +210,8 @@ class AdaptiveStepper:
 
 @dataclass(frozen=True)
 class Protocol:
-    """Sample schedule of a quench; the rates are on from the initial time."""
+    """Sample schedule of a quench; the last sample time ends the run."""
 
-    t_max: float
     sample_times: np.ndarray
     record_modes: tuple = ()
 
@@ -226,8 +221,8 @@ class Protocol:
         object.__setattr__(self, "record_modes", tuple(int(m) for m in self.record_modes))
         if times.size == 0 or np.any(np.diff(times) <= 0):
             raise ConfigurationError("sample_times must be strictly increasing")
-        if times[0] < 0 or times[-1] > self.t_max:
-            raise ConfigurationError("sample_times must lie within [0, t_max]")
+        if times[0] < 0:
+            raise ConfigurationError("sample_times must be non-negative")
 
 
 def log_sample_times(t_min, t_max, samples):
@@ -258,26 +253,18 @@ class TimeSeries:
     def abs_delta(self):
         return np.abs(self.delta)
 
-    def column(self, name):
-        if name == "t_w":
-            return self.t * self.metadata.get("bandwidth", 1.0)
-        simple = {"n": self.n, "re_delta": self.delta.real, "im_delta": self.delta.imag,
-                  "abs_delta": self.abs_delta, "zeta_mean": self.zeta_mean}
-        if name in simple:
-            return simple[name]
-        prefix, _, mode = name.rpartition("_")
-        idx = list(self.tracked_modes).index(int(mode))
-        per_mode = {"sx": self.sx, "sy": self.sy, "sz": self.sz, "zeta": self.zeta}
-        return per_mode[prefix][:, idx]
-
-    def column_names(self):
-        names = ["t_w", "n", "re_delta", "im_delta", "abs_delta", "zeta_mean"]
-        for m in self.tracked_modes:
-            names += [f"sx_{m}", f"sy_{m}", f"sz_{m}", f"zeta_{m}"]
-        return names
+    def columns(self):
+        """The CSV columns as ordered (name, values) pairs, four per tracked mode."""
+        cols = [("t_w", self.t * self.metadata["bandwidth"]), ("n", self.n),
+                ("re_delta", self.delta.real), ("im_delta", self.delta.imag),
+                ("abs_delta", self.abs_delta), ("zeta_mean", self.zeta_mean)]
+        for i, m in enumerate(self.tracked_modes):
+            cols += [(f"sx_{m}", self.sx[:, i]), (f"sy_{m}", self.sy[:, i]),
+                     (f"sz_{m}", self.sz[:, i]), (f"zeta_{m}", self.zeta[:, i])]
+        return cols
 
 
-def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12, max_step=np.inf):
+def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12):
     """Integrate the hybrid dynamics, recording observables at sample times.
 
     The quench is instantaneous: the rates act from initial.t on with no
@@ -290,10 +277,11 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12, max_step=np.i
         raise ConfigurationError(
             f"first sample time {protocol.sample_times[0]} precedes the initial "
             f"time {initial.t}")
+    t_end = protocol.sample_times[-1]
     guard = 0.4 * revival_time(grid)
-    if protocol.t_max > guard:
+    if t_end > guard:
         raise ConfigurationError(
-            f"t_max={protocol.t_max} exceeds the dephasing revival guard {guard:.3g}; "
+            f"last sample time {t_end} exceeds the dephasing revival guard {guard:.3g}; "
             "increase n_modes")
 
     modes = np.array(protocol.record_modes, dtype=int)
@@ -315,16 +303,16 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12, max_step=np.i
         out["sz"][i] = sz[modes]
         out["zeta"][i] = zeta_k[modes]
 
-    stepper = AdaptiveStepper(params, initial, rtol=rtol, atol=atol, max_step=max_step)
+    stepper = AdaptiveStepper(params, initial, rtol=rtol, atol=atol)
     budget = (_BUDGET_BASE + n_samples
-              + _BUDGET_PER_WT * grid.bandwidth * (protocol.t_max - initial.t))
+              + _BUDGET_PER_WT * grid.bandwidth * (t_end - initial.t))
     dt = stepper.initial_step()
     for i, t_sample in enumerate(protocol.sample_times):
         while (t := stepper.state.t) < t_sample:
             if stepper.n_steps + stepper.n_rejected > budget:
                 raise StepUnderflowError(
                     f"step budget {budget:.0f} exhausted at t={t}", t=t)
-            dt = stepper.step(dt, protocol.sample_times[-1])
+            dt = stepper.step(dt, t_end)
         record(i, stepper.state if t == t_sample else stepper.sample(t_sample))
 
     return TimeSeries(
@@ -337,8 +325,7 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12, max_step=np.i
             "params": {"u": params.u, "gamma": params.gamma, "pump": params.pump,
                        "alpha": params.alpha},
             "integrator": {"method": "DOP853", "rtol": rtol, "atol": atol,
-                           "max_step": max_step, "steps": stepper.n_steps,
-                           "rejections": stepper.n_rejected, "rhs_evals": stepper.n_evals,
-                           "dense_steps": stepper.n_dense,
+                           "steps": stepper.n_steps, "rejections": stepper.n_rejected,
+                           "rhs_evals": stepper.n_evals, "dense_steps": stepper.n_dense,
                            "dt_min": stepper.dt_min, "dt_max": stepper.dt_max},
         })

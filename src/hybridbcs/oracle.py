@@ -47,6 +47,12 @@ def _residual(diff):
     return np.where(np.isnan(res), np.inf, res)
 
 
+def _report(name, tolerance, results):
+    """A CheckReport of the first largest (residual, detail) in results."""
+    worst, detail = max([(0.0, ""), *results], key=lambda pair: pair[0])
+    return CheckReport(name, worst <= tolerance, worst, tolerance, detail)
+
+
 def _worst(diff, n_sites):
     """(largest residual, "operator=... mode=...") over the n_k, Delta_k stack."""
     res = _residual(diff)
@@ -176,25 +182,25 @@ def check_eom_equivalence(state, params, cluster, rho):
     return res, f"{detail} alpha={params.alpha}"
 
 
-def random_physical_state(rng, n_modes, margin=0.95):
+def random_physical_state(rng, n_modes):
     """Random (n_k, Delta_k) with zeta_k <= 1 (sub-unit pseudospin length)."""
     n_k = rng.uniform(0.15, 0.85, size=n_modes)
-    mag = np.sqrt(rng.uniform(0.0, margin, size=n_modes) * n_k * (1.0 - n_k))
+    mag = np.sqrt(rng.uniform(0.0, 0.95, size=n_modes) * n_k * (1.0 - n_k))
     phase = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
     return BcsState(t=0.0, n_k=n_k, d_k=mag * np.exp(1j * phase))
 
 
-def cluster_grid(n_sites, energy_scale=0.5):
+def cluster_grid(n_sites):
     """Uniform-weight grid matching an L-site cluster, eps(k) = eps(-k)."""
     if n_sites not in (2, 3):
         raise ConfigurationError("oracle supports 2 or 3 sites only")
-    energies = np.array([-1.0, 1.0] if n_sites == 2 else [0.0, 1.0, 1.0]) * energy_scale
+    energies = np.array([-0.5, 0.5] if n_sites == 2 else [0.0, 0.5, 0.5])
     return BandGrid(n_modes=n_sites, energies=energies,
                     weights=np.full(n_sites, 1.0 / n_sites), bandwidth=1.0)
 
 
-def run_eom_suite(seeds=20, n_sites=2, u=1.0, tolerance=1e-10):
-    """EOM equivalence over random states and an (alpha, Gamma, P) grid."""
+def run_eom_suite(seeds=20, n_sites=2):
+    """EOM equivalence over random states and an (alpha, Gamma, P) grid at U = 1."""
     if seeds < 1:
         raise ConfigurationError(f"oracle needs at least one seed, got {seeds}")
     grid = cluster_grid(n_sites)
@@ -202,7 +208,7 @@ def run_eom_suite(seeds=20, n_sites=2, u=1.0, tolerance=1e-10):
     points = [(a, g, p)
               for a in (0.0, 0.5, 1.0)
               for g, p in ((0.3, 0.0), (0.0, 0.25), (0.3, 0.25))]
-    worst = (0.0, "")
+    results = []
     for seed in range(seeds):
         state = random_physical_state(np.random.default_rng(1000 + seed), n_sites)
         if n_sites == 3:
@@ -211,12 +217,10 @@ def run_eom_suite(seeds=20, n_sites=2, u=1.0, tolerance=1e-10):
             state.d_k[2] = state.d_k[1]
         rho = cluster.gaussian_state(state.n_k, state.d_k)
         for a, g, p in points:
-            params = SystemParams(u=u, gamma=g, pump=p, alpha=a, grid=grid)
+            params = SystemParams(u=1.0, gamma=g, pump=p, alpha=a, grid=grid)
             res, detail = check_eom_equivalence(state, params, cluster, rho)
-            if res > worst[0]:
-                worst = (res, f"seed={seed} {detail} gamma={g} pump={p}")
-    return CheckReport("eom-equivalence", worst[0] <= tolerance, worst[0],
-                       tolerance, worst[1])
+            results.append((res, f"seed={seed} {detail} gamma={g} pump={p}"))
+    return _report("eom-equivalence", 1e-10, results)
 
 
 def _random_interaction(rng, n_orb):
@@ -309,18 +313,13 @@ def check_hf_trace_identity(seed=0, n_orb=4, kappa_single=None):
     return abs(lhs - rhs)
 
 
-def run_hf_suite(seeds=10, tolerance=1e-12):
-    worst = (0.0, "")
-    for seed in range(seeds):
-        res = _residual(check_hf_trace_identity(seed=seed))
-        if res > worst[0]:
-            worst = (res, f"seed={seed}")
+def run_hf_suite(seeds=10):
+    results = [(_residual(check_hf_trace_identity(seed=seed)), f"seed={seed}")
+               for seed in range(seeds)]
     # Single symmetric kappa entry: the antisymmetrization is nontrivial.
-    res = _residual(check_hf_trace_identity(seed=99, kappa_single=(0, 2, 0.7)))
-    if res > worst[0]:
-        worst = (res, "kappa_single")
-    return CheckReport("hf-trace-identity", worst[0] <= tolerance, worst[0],
-                       tolerance, worst[1])
+    results.append((_residual(check_hf_trace_identity(seed=99, kappa_single=(0, 2, 0.7))),
+                    "kappa_single"))
+    return _report("hf-trace-identity", 1e-12, results)
 
 
 def _hybrid_liouvillian(rho, hamiltonian, jumps, alpha):
@@ -343,12 +342,12 @@ def propagated_rhs(rho, hamiltonian, jumps, alpha, observable):
     return ev(gen) / tr - ev(rho) * np.trace(gen) / tr ** 2
 
 
-def _propagator_suite(name, alphas, seed_base, seeds, tolerance):
+def _propagator_suite(name, alphas, seed_base, seeds):
     """exact_hybrid_rhs against propagated_rhs, one stacked call per (seed, alpha)."""
     cluster = MomentumCluster([-0.4, 0.4])
     losses, pumps = cluster.jump_operators(0.3, 0.2)
     jumps = losses + pumps
-    worst = (0.0, "")
+    results = []
     for seed in range(seeds):
         state = random_physical_state(np.random.default_rng(seed_base + seed), 2)
         rho = cluster.gaussian_state(state.n_k, state.d_k)
@@ -357,19 +356,18 @@ def _propagator_suite(name, alphas, seed_base, seeds, tolerance):
             args = rho, h, jumps, alpha, cluster.observables
             diff = exact_hybrid_rhs(*args) - propagated_rhs(*args)
             res, detail = _worst(diff, cluster.n_sites)
-            if res > worst[0]:
-                worst = (res, f"seed={seed} {detail} alpha={alpha}")
-    return CheckReport(name, worst[0] <= tolerance, worst[0], tolerance, worst[1])
+            results.append((res, f"seed={seed} {detail} alpha={alpha}"))
+    return _report(name, 1e-12, results)
 
 
-def run_norm_conserving_suite(seeds=5, tolerance=1e-12):
+def run_norm_conserving_suite(seeds=5):
     """The normalized generator at alpha = 0.5 and 1 against the propagation."""
-    return _propagator_suite("norm-conserving-propagator", (0.5, 1.0), 3000, seeds, tolerance)
+    return _propagator_suite("norm-conserving-propagator", (0.5, 1.0), 3000, seeds)
 
 
-def run_nh_suite(seeds=5, tolerance=1e-12):
+def run_nh_suite(seeds=5):
     """No-click limit: alpha = 0 against the normalized exp(-i H_nh t) propagation."""
-    return _propagator_suite("no-click-propagator", (0.0,), 4000, seeds, tolerance)
+    return _propagator_suite("no-click-propagator", (0.0,), 4000, seeds)
 
 
 def run_all_checks(seeds=20, n_sites=2):

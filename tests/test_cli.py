@@ -61,15 +61,26 @@ def test_validate_rejects_wrong_types(tmp_path):
     cfg["time"]["spacing"] = "cubic"
     with pytest.raises(ConfigurationError, match="spacing"):
         cli.validate_config(cfg)
+    # Non-finite, or an integer no float can hold (JSON integers are unbounded).
+    for section, key, value in (("integrator", "rtol", float("inf")),
+                                ("interaction", "u_over_w", 10 ** 400)):
+        cfg = base_config(tmp_path)
+        cfg.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigurationError, match=f"{section}.{key} must be finite"):
+            cli.validate_config(cfg)
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
+    # The last sample time ends the run; there is no step cap to set.
     cfg = base_config(tmp_path)
-    cfg["integrator"] = {"max_step_w": float("inf")}
-    with pytest.raises(ConfigurationError, match="integrator.max_step_w"):
+    cfg["integrator"] = {"max_step_w": 1.0}
+    with pytest.raises(ConfigurationError, match="unknown config key: integrator.max_step_w"):
         cli.validate_config(cfg)
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
 
 
 def test_validate_rejects_bad_track_energies(tmp_path):
     # Each entry must be a finite number, before any run writes a file.
-    for bad in (["x"], [float("nan")], [True], [0.1, float("inf")], [[0.1]]):
+    for bad in (["x"], [float("nan")], [True], [0.1, float("inf")], [0.1, -10 ** 400],
+                [[0.1]]):
         cfg = base_config(tmp_path)
         cfg["output"]["track_energies"] = bad
         with pytest.raises(ConfigurationError, match="output.track_energies"):
@@ -96,7 +107,6 @@ def test_resolve_fills_defaults(tmp_path):
     assert cfg["dissipation"] == base_config(tmp_path)["dissipation"]
     assert cfg["integrator"]["rtol"] == 1e-9
     assert cfg["integrator"]["atol"] == 1e-12
-    assert cfg["integrator"]["max_step_w"] == cfg["time"]["t_max_w"]
     assert cfg["output"]["track_energies"] == []
 
 
@@ -142,7 +152,7 @@ def test_run_reproduces_from_sidecar(tmp_path):
         sidecar = json.load(handle)
     replay = sidecar["config"]
     replay["output"]["path"] = str(tmp_path / "replay.csv")
-    # The sidecar holds the resolved config, max_step_w included.
+    # The sidecar holds the resolved config, integrator defaults included.
     replay_path = write_config(tmp_path, replay, "replay.json")
     assert cli.main(["run", "--config", replay_path]) == 0
     assert (tmp_path / "replay.csv").read_bytes() == first

@@ -2,11 +2,20 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson, solve_ivp
 
-from hybridbcs.dynamics import BcsState, SystemParams, _pack, _unpack, density, rhs_total
+from hybridbcs.dynamics import (
+    BcsState,
+    SystemParams,
+    _pack,
+    _unpack,
+    density,
+    order_parameter,
+    rhs_total,
+)
 from hybridbcs.equilibrium import build_ground_state, solve_gap
 from hybridbcs import integrator
 from hybridbcs.errors import BlowupError, ConfigurationError, StepUnderflowError
 from hybridbcs.integrator import (
+    AdaptiveStepper,
     Protocol,
     linear_sample_times,
     log_sample_times,
@@ -30,18 +39,18 @@ def test_sample_time_helpers():
 
 
 def test_protocol_validation():
-    with pytest.raises(ConfigurationError):
-        Protocol(t_max=1.0, sample_times=np.array([]))
-    with pytest.raises(ConfigurationError):
-        Protocol(t_max=1.0, sample_times=np.array([0.5, 0.5]))
-    with pytest.raises(ConfigurationError):
-        Protocol(t_max=1.0, sample_times=np.array([0.5, 2.0]))
+    with pytest.raises(ConfigurationError, match="increasing"):
+        Protocol(sample_times=np.array([]))
+    with pytest.raises(ConfigurationError, match="increasing"):
+        Protocol(sample_times=np.array([0.5, 0.5]))
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        Protocol(sample_times=np.array([-0.5, 2.0]))
     # A sample before the initial time could never be recorded.
     grid, ground, params = loss_setup(8)
     late = BcsState(t=5.0, n_k=ground.n_k, d_k=ground.d_k)
     with pytest.raises(ConfigurationError, match="precedes"):
         run_protocol(late, params,
-                     Protocol(t_max=8.0, sample_times=np.array([1.0, 6.0, 8.0])))
+                     Protocol(sample_times=np.array([1.0, 6.0, 8.0])))
 
 
 def test_fixed_step_order():
@@ -100,7 +109,7 @@ def test_blowup_reports_mode_and_time():
     with pytest.raises(BlowupError) as direct:
         rhs_total(state, params)
     with pytest.raises(BlowupError) as run:
-        run_protocol(state, params, Protocol(t_max=1.0, sample_times=np.array([1.0])))
+        run_protocol(state, params, Protocol(sample_times=np.array([1.0])))
     for info in (direct, run):
         assert (info.value.mode, info.value.t) == (3, 0.25)
 
@@ -133,7 +142,7 @@ def test_adaptive_step_controls_error():
     # long enough that the 8th-order stepper takes tens of steps, or the
     # errors sit at the floor of a handful of steps.
     grid, ground, params = loss_setup(64, alpha=0.5)
-    protocol = Protocol(t_max=40.0, sample_times=np.array([10.0, 20.0, 40.0]))
+    protocol = Protocol(sample_times=np.array([10.0, 20.0, 40.0]))
     ref = run_protocol(ground, params, protocol, rtol=1e-13, atol=1e-15)
     errs, steps = [], []
     for rtol in (1e-5, 1e-7, 1e-9):
@@ -158,20 +167,25 @@ def test_step_budget_stops_a_wrong_error_estimate(monkeypatch):
     bad[0, 6] -= 1e-3
     monkeypatch.setattr(integrator, "_E", bad)
     with pytest.raises(StepUnderflowError, match="step budget 1401"):
-        run_protocol(ground, params, Protocol(t_max=4.0, sample_times=np.array([4.0])))
+        run_protocol(ground, params, Protocol(sample_times=np.array([4.0])))
 
 
 def test_dop853_global_order():
-    # rtol = atol = 1 accepts every step, so max_step = h sets the step
-    # size; the end-point error of the 8th-order solution shrinks as h^8.
+    # rtol = atol = 1 accepts every step, so stepping with a fixed proposal h
+    # sets the step size; the end-point error of the 8th-order solution
+    # shrinks as h^8.
     grid, ground, params = loss_setup(16, alpha=0.5)
-    protocol = Protocol(t_max=4.0, sample_times=np.array([4.0]))
-    ref = run_protocol(ground, params, protocol, rtol=1e-13, atol=1e-15)
+    ref = run_protocol(ground, params, Protocol(sample_times=np.array([4.0])),
+                       rtol=1e-13, atol=1e-15)
     err = []
     for h in (1.0, 0.5, 0.25):
-        got = run_protocol(ground, params, protocol, rtol=1.0, atol=1.0, max_step=h)
-        assert got.metadata["integrator"]["rejections"] == 0
-        err.append(max(abs(got.n[-1] - ref.n[-1]), abs(got.delta[-1] - ref.delta[-1])))
+        stepper = AdaptiveStepper(params, ground, rtol=1.0, atol=1.0)
+        stepper.initial_step()
+        while stepper.state.t < 4.0:
+            stepper.step(h, 4.0)
+        assert stepper.n_steps == 4.0 / h and stepper.n_rejected == 0
+        n, delta = density(stepper.state, grid), order_parameter(stepper.state, grid)
+        err.append(max(abs(n - ref.n[-1]), abs(delta - ref.delta[-1])))
     orders = np.log2(np.array(err[:-1]) / np.array(err[1:]))
     assert np.all((7.0 < orders) & (orders < 9.0)), orders
 
@@ -180,7 +194,7 @@ def test_stationary_state_stays_put():
     grid = build_flat_band(1.0, 64)
     ground = build_ground_state(grid, solve_gap(grid, 1.0))
     params = SystemParams(u=1.0, gamma=0.0, pump=0.0, alpha=1.0, grid=grid)
-    protocol = Protocol(t_max=20.0, sample_times=linear_sample_times(20.0, 10))
+    protocol = Protocol(sample_times=linear_sample_times(20.0, 10))
     series = run_protocol(ground, params, protocol)
     assert np.max(np.abs(series.n - density(ground, grid))) < 1e-9
     assert np.max(np.abs(series.abs_delta - series.abs_delta[0])) < 1e-9
@@ -189,7 +203,7 @@ def test_stationary_state_stays_put():
 def test_samples_land_exactly():
     grid, ground, params = loss_setup(64)
     times = log_sample_times(0.01, 30.0, 40)
-    series = run_protocol(ground, params, Protocol(t_max=30.0, sample_times=times))
+    series = run_protocol(ground, params, Protocol(sample_times=times))
     assert np.array_equal(series.t, times)
 
 
@@ -199,16 +213,16 @@ def test_samples_do_not_change_the_steps():
     # a bit-identical last sample; the interior ones cost no extra step.
     grid, ground, params = loss_setup(64, alpha=0.5)
     times = log_sample_times(1e-4, 30.0, 400)
-    full = run_protocol(ground, params, Protocol(t_max=30.0, sample_times=times,
+    full = run_protocol(ground, params, Protocol(sample_times=times,
                                                  record_modes=(0, 63)))
-    last = run_protocol(ground, params, Protocol(t_max=30.0, sample_times=times[-1:],
+    last = run_protocol(ground, params, Protocol(sample_times=times[-1:],
                                                  record_modes=(0, 63)))
     a, b = full.metadata["integrator"], last.metadata["integrator"]
     assert (a["steps"], a["rejections"]) == (b["steps"], b["rejections"])
     assert a["dense_steps"] > 0 and b["dense_steps"] == 0
     assert a["steps"] < len(times)
-    for name in full.column_names():
-        assert full.column(name)[-1] == last.column(name)[0], name
+    for (name, a), (_, b) in zip(full.columns(), last.columns()):
+        assert a[-1] == b[0], name
 
 
 def test_interior_samples_match_tight_reference():
@@ -216,21 +230,21 @@ def test_interior_samples_match_tight_reference():
     # stay within rtol of an rtol = 1e-13 run, at every sample, for both
     # the Lindblad and the no-click dynamics.
     times = np.linspace(0.05, 40.0, 800)
-    protocol = Protocol(t_max=40.0, sample_times=times, record_modes=(5, 40))
+    protocol = Protocol(sample_times=times, record_modes=(5, 40))
     for alpha in (1.0, 0.0):
         grid, ground, params = loss_setup(64, gamma=0.2, alpha=alpha)
         ref = run_protocol(ground, params, protocol, rtol=1e-13, atol=1e-15)
         for rtol in (1e-7, 1e-9):
             got = run_protocol(ground, params, protocol, rtol=rtol, atol=1e-3 * rtol)
             assert got.metadata["integrator"]["steps"] < 0.2 * len(times)
-            for name in got.column_names()[1:]:
-                err = np.max(np.abs(got.column(name) - ref.column(name)))
+            for (name, a), (_, b) in zip(got.columns()[1:], ref.columns()[1:]):
+                err = np.max(np.abs(a - b))
                 assert err < rtol, (alpha, rtol, name, err)
 
 
 def test_runs_are_bit_identical():
     grid, ground, params = loss_setup(64)
-    protocol = Protocol(t_max=20.0, sample_times=log_sample_times(0.1, 20.0, 25),
+    protocol = Protocol(sample_times=log_sample_times(0.1, 20.0, 25),
                         record_modes=(0, 63))
     a = run_protocol(ground, params, protocol)
     b = run_protocol(ground, params, protocol)
@@ -243,7 +257,7 @@ def test_matches_scipy_reference():
     grid, ground, params = loss_setup(64)
     t_end = 30.0
     series = run_protocol(ground, params,
-                          Protocol(t_max=t_end, sample_times=np.array([t_end])),
+                          Protocol(sample_times=np.array([t_end])),
                           rtol=1e-10, atol=1e-13)
 
     def rhs(t, y):
@@ -258,16 +272,14 @@ def test_matches_scipy_reference():
 def test_revival_guard():
     grid, ground, params = loss_setup(8)
     # guard = 0.4 * pi * 8 ~ 10.1; ask for more.
-    with pytest.raises(ConfigurationError):
-        run_protocol(ground, params,
-                     Protocol(t_max=50.0, sample_times=np.array([50.0])))
+    # The last sample time is the horizon the guard checks.
+    with pytest.raises(ConfigurationError, match="last sample time 50.0 exceeds"):
+        run_protocol(ground, params, Protocol(sample_times=np.array([1.0, 50.0])))
     guard = 0.4 * np.pi * 8
     outside, inside = 1.01 * guard, 0.99 * guard
-    with pytest.raises(ConfigurationError):
-        run_protocol(ground, params,
-                     Protocol(t_max=outside, sample_times=np.array([outside])))
-    series = run_protocol(ground, params,
-                          Protocol(t_max=inside, sample_times=np.array([inside])))
+    with pytest.raises(ConfigurationError, match="revival guard"):
+        run_protocol(ground, params, Protocol(sample_times=np.array([outside])))
+    series = run_protocol(ground, params, Protocol(sample_times=np.array([inside])))
     assert series.t[-1] == inside
 
 
@@ -277,7 +289,7 @@ def test_pure_loss_density_closed_form():
     grid = build_flat_band(1.0, 8)
     state = BcsState(t=0.0, n_k=np.full(8, 0.4), d_k=np.zeros(8, dtype=complex))
     params = SystemParams(u=1.0, gamma=0.3, pump=0.0, alpha=1.0, grid=grid)
-    protocol = Protocol(t_max=10.0, sample_times=linear_sample_times(10.0, 20))
+    protocol = Protocol(sample_times=linear_sample_times(10.0, 20))
     series = run_protocol(state, params, protocol, rtol=1e-12, atol=1e-15)
     n0 = 0.8
     exact = n0 / (1.0 + 0.3 * n0 * series.t)
@@ -291,7 +303,7 @@ def test_lindblad_density_sum_rule_over_run():
     gamma = 0.08
     grid, ground, params = loss_setup(64, gamma=gamma)
     times = np.linspace(0.0, 20.0, 2001)
-    series = run_protocol(ground, params, Protocol(t_max=20.0, sample_times=times),
+    series = run_protocol(ground, params, Protocol(sample_times=times),
                           rtol=1e-12, atol=1e-15)
     rate = -gamma * series.n ** 2 - 4.0 * gamma * series.abs_delta ** 2
     residual = max(abs(series.n[i] - series.n[0] - simpson(rate[:i + 1], x=times[:i + 1]))
@@ -306,7 +318,7 @@ def test_noclick_pure_loss_closed_form():
     grid = build_flat_band(1.0, 8)
     state = BcsState(t=0.0, n_k=np.full(8, 0.4), d_k=np.zeros(8, dtype=complex))
     params = SystemParams(u=1.0, gamma=0.3, pump=0.0, alpha=0.0, grid=grid)
-    protocol = Protocol(t_max=10.0, sample_times=linear_sample_times(10.0, 20))
+    protocol = Protocol(sample_times=linear_sample_times(10.0, 20))
     series = run_protocol(state, params, protocol, rtol=1e-12, atol=1e-15)
 
     def big_f(x):
@@ -320,15 +332,17 @@ def test_noclick_pure_loss_closed_form():
 def test_record_modes_columns():
     grid, ground, params = loss_setup(16)
     series = run_protocol(ground, params,
-                          Protocol(t_max=5.0, sample_times=np.array([5.0]),
+                          Protocol(sample_times=np.array([5.0]),
                                    record_modes=(3, 12)))
     assert series.sx.shape == (1, 2)
     assert np.allclose(series.tracked_energies, grid.energies[[3, 12]])
-    names = series.column_names()
-    assert names[:6] == ["t_w", "n", "re_delta", "im_delta", "abs_delta", "zeta_mean"]
-    assert "sz_12" in names and "zeta_3" in names
-    assert series.column("sz_3")[0] == series.sz[0, 0]
-    assert series.column("t_w")[0] == 5.0
+    columns = dict(series.columns())
+    assert list(columns)[:6] == ["t_w", "n", "re_delta", "im_delta", "abs_delta",
+                                 "zeta_mean"]
+    assert "sz_12" in columns and "zeta_3" in columns
+    assert columns["sz_3"][0] == series.sz[0, 0]
+    assert columns["sz_12"][0] == series.sz[0, 1]
+    assert columns["t_w"][0] == 5.0
 
 
 def test_integrator_metadata():
@@ -339,7 +353,7 @@ def test_integrator_metadata():
     steps, dense = [], []
     for times in ([5.0], [0.0, 5.0], np.linspace(0.0, 5.0, 41)):
         series = run_protocol(ground, params,
-                              Protocol(t_max=5.0, sample_times=np.array(times)))
+                              Protocol(sample_times=np.array(times)))
         stats = series.metadata["integrator"]
         assert stats["steps"] > 0
         assert stats["rtol"] == 1e-9
