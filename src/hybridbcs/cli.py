@@ -49,6 +49,7 @@ _REQUIRED = {
     "output": ("path",),
 }
 _INTEGRATOR_DEFAULTS = {"rtol": 1e-9, "atol": 1e-12}
+_INT_MAX = int(np.iinfo(np.intp).max)  # numpy cannot size or index beyond it
 
 
 def validate_config(raw):
@@ -73,6 +74,9 @@ def validate_config(raw):
             if not isinstance(value, expected) or isinstance(value, bool):
                 raise ConfigurationError(
                     f"config key {section}.{key} must be {expected.__name__}")
+            if expected is int and value > _INT_MAX:
+                raise ConfigurationError(
+                    f"config key {section}.{key} must be at most {_INT_MAX}")
             if expected is list and not all(
                     type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value):
                 raise ConfigurationError(
@@ -85,6 +89,10 @@ def validate_config(raw):
                 raise ConfigurationError(f"missing config key: {section}.{key}")
     if raw["time"]["spacing"] not in ("log", "linear"):
         raise ConfigurationError("config key time.spacing must be 'log' or 'linear'")
+    if not raw["time"]["t_max_w"] > 0:
+        raise ConfigurationError("config key time.t_max_w must be positive")
+    if raw["time"]["samples"] < 2:
+        raise ConfigurationError("config key time.samples must be at least 2")
 
 
 def resolve_config(raw):
@@ -113,8 +121,6 @@ def assemble(cfg):
                           pump=dis["p_over_u"] * u, alpha=dis["alpha"], grid=grid)
     t_max = cfg["time"]["t_max_w"] / width
     samples = cfg["time"]["samples"]
-    if samples < 2:
-        raise ConfigurationError("config key time.samples must be at least 2")
     if cfg["time"]["spacing"] == "log":
         times = log_sample_times(t_max * 1e-5, t_max, samples)
     else:
@@ -186,27 +192,27 @@ _AXIS_KEYS = {"alpha": ("dissipation", "alpha"), "gamma": ("dissipation", "gamma
               "pump": ("dissipation", "p_over_u")}
 
 
+# The per-run columns of a scan summary, with their formats.
+_SUMMARY = (("n_final", ".17e"), ("abs_delta_final", ".17e"), ("exponent_n", ".6f"),
+            ("exponent_abs_delta", ".6f"), ("plateau_n", ".17e"))
+
+
+def _exponent(t, y):
+    """Power-law exponent of y over the last decade of t; NaN if it cannot be fitted."""
+    try:
+        return fit_power_law(t, y, (t[-1] / 10.0, t[-1])).exponent
+    except ConfigurationError:
+        return float("nan")
+
+
 def _scan_one(cfg):
+    """One scan run; returns its _SUMMARY cells, formatted."""
     series = execute_run(cfg)
-    t_hi = float(series.t[-1])
-    window = (t_hi / 10.0, t_hi)
-    try:
-        exponent_n = fit_power_law(series.t, series.n, window).exponent
-    except ConfigurationError:
-        exponent_n = float("nan")
-    try:
-        exponent_d = fit_power_law(series.t, series.abs_delta, window).exponent
-    except ConfigurationError:
-        exponent_d = float("nan")
-    start = collapse_index(series.abs_delta)
-    plateau = detect_plateau(series.t[start:], series.n[start:])
-    return {
-        "n_final": float(series.n[-1]),
-        "abs_delta_final": float(series.abs_delta[-1]),
-        "exponent_n": exponent_n,
-        "exponent_abs_delta": exponent_d,
-        "plateau_n": plateau.value if plateau.found else float("nan"),
-    }
+    t, n, abs_delta = series.t, series.n, series.abs_delta
+    start = collapse_index(abs_delta)
+    values = (n[-1], abs_delta[-1], _exponent(t, n), _exponent(t, abs_delta),
+              detect_plateau(t[start:], n[start:]).value)
+    return [format(value, spec) for value, (_, spec) in zip(values, _SUMMARY)]
 
 
 def cmd_scan(args):
@@ -249,29 +255,18 @@ def cmd_scan(args):
         else:
             results = [pool.submit(_scan_one, job).result for job in jobs]
         for value, job, result in zip(values, jobs, results):
-            path = job["output"]["path"]
             try:
-                rows.append((value, path, result(), None))
+                status, cells = "ok", result()
             except (IntegrationError, ConfigurationError) as exc:
                 failures += 1
-                rows.append((value, path, None, str(exc)))
+                status, cells = f"failed: {exc}", [""] * len(_SUMMARY)
+            rows.append([f"{value:g}", job["output"]["path"], status, *cells])
 
     summary = f"{root}_{args.axis}_summary{ext}"
     with open(summary, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow([args.axis, "path", "status", "n_final", "abs_delta_final",
-                         "exponent_n", "exponent_abs_delta", "plateau_n"])
-        for value, path, stats, error in rows:
-            if stats is None:
-                writer.writerow([f"{value:g}", path, f"failed: {error}",
-                                 "", "", "", "", ""])
-            else:
-                writer.writerow([f"{value:g}", path, "ok",
-                                 f"{stats['n_final']:.17e}",
-                                 f"{stats['abs_delta_final']:.17e}",
-                                 f"{stats['exponent_n']:.6f}",
-                                 f"{stats['exponent_abs_delta']:.6f}",
-                                 f"{stats['plateau_n']:.17e}"])
+        writer.writerow([args.axis, "path", "status", *(name for name, _ in _SUMMARY)])
+        writer.writerows(rows)
     print(f"wrote {summary} ({len(rows) - failures}/{len(rows)} runs ok)")
     return 0 if failures == 0 else EXIT_INTEGRATION
 

@@ -285,23 +285,16 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12):
             "increase n_modes")
 
     modes = np.array(protocol.record_modes, dtype=int)
-    n_samples = len(protocol.sample_times)
-    out = {
-        "n": np.empty(n_samples), "delta": np.empty(n_samples, dtype=complex),
-        "zeta_mean": np.empty(n_samples),
-        "sx": np.empty((n_samples, len(modes))), "sy": np.empty((n_samples, len(modes))),
-        "sz": np.empty((n_samples, len(modes))), "zeta": np.empty((n_samples, len(modes))),
-    }
-
-    def record(i, state):
-        sx, sy, sz, zeta_k, zeta_mean = pseudospin(state, grid)
-        out["n"][i] = density(state, grid)
-        out["delta"][i] = order_parameter(state, grid)
-        out["zeta_mean"][i] = zeta_mean
-        out["sx"][i] = sx[modes]
-        out["sy"][i] = sy[modes]
-        out["sz"][i] = sz[modes]
-        out["zeta"][i] = zeta_k[modes]
+    n_samples, n_tracked = len(protocol.sample_times), len(modes)
+    series = TimeSeries(
+        t=protocol.sample_times.copy(), n=np.empty(n_samples),
+        delta=np.empty(n_samples, dtype=complex), zeta_mean=np.empty(n_samples),
+        tracked_modes=modes, tracked_energies=grid.energies[modes],
+        sx=np.empty((n_samples, n_tracked)), sy=np.empty((n_samples, n_tracked)),
+        sz=np.empty((n_samples, n_tracked)), zeta=np.empty((n_samples, n_tracked)),
+        metadata={"bandwidth": grid.bandwidth,
+                  "params": {"u": params.u, "gamma": params.gamma, "pump": params.pump,
+                             "alpha": params.alpha}})
 
     stepper = AdaptiveStepper(params, initial, rtol=rtol, atol=atol)
     budget = (_BUDGET_BASE + n_samples
@@ -313,19 +306,16 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12):
                 raise StepUnderflowError(
                     f"step budget {budget:.0f} exhausted at t={t}", t=t)
             dt = stepper.step(dt, t_end)
-        record(i, stepper.state if t == t_sample else stepper.sample(t_sample))
+        state = stepper.state if t == t_sample else stepper.sample(t_sample)
+        series.n[i] = density(state, grid)
+        series.delta[i] = order_parameter(state, grid)
+        *spins, series.zeta_mean[i] = pseudospin(state, grid)
+        for column, values in zip((series.sx, series.sy, series.sz, series.zeta), spins):
+            column[i] = values[modes]
 
-    return TimeSeries(
-        t=protocol.sample_times.copy(), n=out["n"], delta=out["delta"],
-        zeta_mean=out["zeta_mean"], tracked_modes=modes,
-        tracked_energies=grid.energies[modes] if len(modes) else np.array([]),
-        sx=out["sx"], sy=out["sy"], sz=out["sz"], zeta=out["zeta"],
-        metadata={
-            "bandwidth": grid.bandwidth,
-            "params": {"u": params.u, "gamma": params.gamma, "pump": params.pump,
-                       "alpha": params.alpha},
-            "integrator": {"method": "DOP853", "rtol": rtol, "atol": atol,
-                           "steps": stepper.n_steps, "rejections": stepper.n_rejected,
-                           "rhs_evals": stepper.n_evals, "dense_steps": stepper.n_dense,
-                           "dt_min": stepper.dt_min, "dt_max": stepper.dt_max},
-        })
+    series.metadata["integrator"] = {
+        "method": "DOP853", "rtol": rtol, "atol": atol,
+        "steps": stepper.n_steps, "rejections": stepper.n_rejected,
+        "rhs_evals": stepper.n_evals, "dense_steps": stepper.n_dense,
+        "dt_min": stepper.dt_min, "dt_max": stepper.dt_max}
+    return series

@@ -64,7 +64,6 @@ class PlateauReport:
     found: bool
     value: float
     window: tuple
-    slope_bound: float
 
 
 def _local_log_slopes(lx, ly):
@@ -98,20 +97,19 @@ def detect_plateau(t, y):
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0) or len(t) < 3:
-        return PlateauReport(False, np.nan, (np.nan, np.nan), np.nan)
+        return PlateauReport(False, np.nan, (np.nan, np.nan))
     slope = _local_log_slopes(np.log(t), np.log(y))
     ok = np.abs(slope) <= _PLATEAU_SLOPE
     edges = np.flatnonzero(np.diff(np.concatenate(([0], ok.astype(int), [0]))))
     starts, ends = edges[0::2], edges[1::2] - 1
     wide = np.flatnonzero(t[ends] >= _PLATEAU_MIN_RATIO * t[starts])
     if len(wide) == 0:
-        return PlateauReport(False, np.nan, (np.nan, np.nan), np.nan)
+        return PlateauReport(False, np.nan, (np.nan, np.nan))
     i, j = starts[wide[-1]], ends[wide[-1]]
     return PlateauReport(
         found=True,
         value=float(np.mean(y[i:j + 1])),
         window=(float(t[i]), float(t[j])),
-        slope_bound=float(np.max(np.abs(slope[i:j + 1]))),
     )
 
 

@@ -161,27 +161,6 @@ class CheckReport:
         return line + (f" -- {self.detail}" if self.detail else "")
 
 
-def check_eom_equivalence(state, params, cluster, rho):
-    """Compare rhs_total against the exact hybrid EOM on the matching cluster.
-
-    The grid must have one mode per cluster momentum with equal weights 1/L,
-    cluster must be built from its energies and rho must be
-    cluster.gaussian_state of state. Returns (max_residual, detail) where
-    detail names the worst offending (operator, mode) pair.
-    """
-    grid = params.grid
-    if not np.allclose(grid.weights, 1.0 / grid.n_modes):
-        raise ConfigurationError("cluster comparison needs uniform weights 1/L")
-    if not np.array_equal(cluster.energies, grid.energies):
-        raise ConfigurationError("cluster energies do not match the grid")
-    h = cluster.mean_field_hamiltonian(order_parameter(state, grid), params.u)
-    losses, pumps = cluster.jump_operators(params.gamma, params.pump)
-    exact = exact_hybrid_rhs(rho, h, losses + pumps, params.alpha, cluster.observables)
-    res, detail = _worst(exact - np.concatenate(_split(rhs_total(state, params))),
-                         grid.n_modes)
-    return res, f"{detail} alpha={params.alpha}"
-
-
 def random_physical_state(rng, n_modes):
     """Random (n_k, Delta_k) with zeta_k <= 1 (sub-unit pseudospin length)."""
     n_k = rng.uniform(0.15, 0.85, size=n_modes)
@@ -199,28 +178,44 @@ def cluster_grid(n_sites):
                     weights=np.full(n_sites, 1.0 / n_sites), bandwidth=1.0)
 
 
-def run_eom_suite(seeds=20, n_sites=2):
-    """EOM equivalence over random states and an (alpha, Gamma, P) grid at U = 1."""
+def _compare(name, tolerance, seed_base, seeds, n_sites, points, other):
+    """exact_hybrid_rhs against other(args, state, params) at each (alpha, Gamma, P).
+
+    Random Gaussian states on the cluster of cluster_grid(n_sites) at U = 1; one
+    stacked comparison of all 2L observables per (seed, point), where args are
+    exact_hybrid_rhs's (rho, hamiltonian, jumps, alpha, observables).
+    """
     if seeds < 1:
         raise ConfigurationError(f"oracle needs at least one seed, got {seeds}")
     grid = cluster_grid(n_sites)
     cluster = MomentumCluster(grid.energies)
-    points = [(a, g, p)
-              for a in (0.0, 0.5, 1.0)
-              for g, p in ((0.3, 0.0), (0.0, 0.25), (0.3, 0.25))]
     results = []
     for seed in range(seeds):
-        state = random_physical_state(np.random.default_rng(1000 + seed), n_sites)
+        state = random_physical_state(np.random.default_rng(seed_base + seed), n_sites)
         if n_sites == 3:
             # The variational manifold assumes n_k = n_{-k}, Delta_k = Delta_{-k}.
             state.n_k[2] = state.n_k[1]
             state.d_k[2] = state.d_k[1]
         rho = cluster.gaussian_state(state.n_k, state.d_k)
-        for a, g, p in points:
-            params = SystemParams(u=1.0, gamma=g, pump=p, alpha=a, grid=grid)
-            res, detail = check_eom_equivalence(state, params, cluster, rho)
-            results.append((res, f"seed={seed} {detail} gamma={g} pump={p}"))
-    return _report("eom-equivalence", 1e-10, results)
+        h = cluster.mean_field_hamiltonian(order_parameter(state, grid), 1.0)
+        for alpha, gamma, pump in points:
+            params = SystemParams(u=1.0, gamma=gamma, pump=pump, alpha=alpha, grid=grid)
+            losses, pumps = cluster.jump_operators(gamma, pump)
+            args = rho, h, losses + pumps, alpha, cluster.observables
+            diff = exact_hybrid_rhs(*args) - other(args, state, params)
+            res, detail = _worst(diff, n_sites)
+            results.append((res, f"seed={seed} {detail} alpha={alpha} "
+                                 f"gamma={gamma} pump={pump}"))
+    return _report(name, tolerance, results)
+
+
+def run_eom_suite(seeds=20, n_sites=2):
+    """rhs_total against the exact hybrid EOM over an (alpha, Gamma, P) grid."""
+    points = [(a, g, p)
+              for a in (0.0, 0.5, 1.0)
+              for g, p in ((0.3, 0.0), (0.0, 0.25), (0.3, 0.25))]
+    packed = lambda args, state, params: np.concatenate(_split(rhs_total(state, params)))
+    return _compare("eom-equivalence", 1e-10, 1000, seeds, n_sites, points, packed)
 
 
 def _random_interaction(rng, n_orb):
@@ -342,32 +337,21 @@ def propagated_rhs(rho, hamiltonian, jumps, alpha, observable):
     return ev(gen) / tr - ev(rho) * np.trace(gen) / tr ** 2
 
 
-def _propagator_suite(name, alphas, seed_base, seeds):
-    """exact_hybrid_rhs against propagated_rhs, one stacked call per (seed, alpha)."""
-    cluster = MomentumCluster([-0.4, 0.4])
-    losses, pumps = cluster.jump_operators(0.3, 0.2)
-    jumps = losses + pumps
-    results = []
-    for seed in range(seeds):
-        state = random_physical_state(np.random.default_rng(seed_base + seed), 2)
-        rho = cluster.gaussian_state(state.n_k, state.d_k)
-        h = cluster.mean_field_hamiltonian(np.mean(state.d_k), 1.0)
-        for alpha in alphas:
-            args = rho, h, jumps, alpha, cluster.observables
-            diff = exact_hybrid_rhs(*args) - propagated_rhs(*args)
-            res, detail = _worst(diff, cluster.n_sites)
-            results.append((res, f"seed={seed} {detail} alpha={alpha}"))
-    return _report(name, 1e-12, results)
+def _propagated(args, state, params):
+    """propagated_rhs in _compare's signature of other."""
+    return propagated_rhs(*args)
 
 
 def run_norm_conserving_suite(seeds=5):
     """The normalized generator at alpha = 0.5 and 1 against the propagation."""
-    return _propagator_suite("norm-conserving-propagator", (0.5, 1.0), 3000, seeds)
+    return _compare("norm-conserving-propagator", 1e-12, 3000, seeds, 2,
+                    [(0.5, 0.3, 0.2), (1.0, 0.3, 0.2)], _propagated)
 
 
 def run_nh_suite(seeds=5):
     """No-click limit: alpha = 0 against the normalized exp(-i H_nh t) propagation."""
-    return _propagator_suite("no-click-propagator", (0.0,), 4000, seeds)
+    return _compare("no-click-propagator", 1e-12, 4000, seeds, 2, [(0.0, 0.3, 0.2)],
+                    _propagated)
 
 
 def run_all_checks(seeds=20, n_sites=2):

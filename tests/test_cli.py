@@ -90,6 +90,34 @@ def test_validate_rejects_bad_track_energies(tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_validate_rejects_bad_time_axis(tmp_path):
+    # A zero horizon used to reach np.geomspace (ValueError, exit 1); too few
+    # samples were caught only once the grid was built.
+    for key, value, message in (("t_max_w", 0.0, "time.t_max_w must be positive"),
+                                ("t_max_w", -5.0, "time.t_max_w must be positive"),
+                                ("samples", 1, "time.samples must be at least 2")):
+        cfg = base_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigurationError, match=message):
+            cli.validate_config(cfg)
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_validate_rejects_integers_numpy_cannot_size(tmp_path):
+    # Above the largest intp numpy raises ValueError ("Maximum allowed size
+    # exceeded"), which used to end the run with exit 1.
+    for section, key, value in (("band", "n_modes", 10 ** 400), ("time", "samples", 10 ** 20),
+                                ("band", "n_modes", int(np.iinfo(np.intp).max) + 1)):
+        cfg = base_config(tmp_path)
+        cfg[section][key] = value
+        with pytest.raises(ConfigurationError, match=f"{section}.{key} must be at most"):
+            cli.validate_config(cfg)
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_validate_rejects_missing_sections(tmp_path):
     cfg = base_config(tmp_path)
     del cfg["interaction"]

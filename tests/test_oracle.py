@@ -238,7 +238,7 @@ def mutated_reference(mutation):
 
 @pytest.mark.parametrize("mutation", ["alpha^2 recycling", "1 - alpha(1 - alpha) disconnected",
                                       "no disconnected term"])
-def test_propagator_suite_catches_reference_mutations(monkeypatch, mutation):
+def test_norm_conserving_suite_catches_reference_mutations(monkeypatch, mutation):
     # Each mutation leaves the reference unchanged at alpha = 1, and the first
     # two at alpha = 0 as well: only the alpha = 0.5 comparison can see them.
     monkeypatch.setattr(oracle, "exact_hybrid_rhs", mutated_reference(mutation))
@@ -294,8 +294,9 @@ def test_run_all_checks():
     assert all(r.passed for r in reports), "\n".join(str(r) for r in reports)
     with pytest.raises(ConfigurationError):
         run_all_checks(n_sites=5)
-    with pytest.raises(ConfigurationError, match="at least one seed"):
-        run_eom_suite(seeds=0)
+    for suite in (run_eom_suite, run_norm_conserving_suite, run_nh_suite):
+        with pytest.raises(ConfigurationError, match="at least one seed"):
+            suite(seeds=0)
 
 
 def test_cluster_grid_shapes():
