@@ -8,6 +8,7 @@ integrator statistics. Exit codes: 0 success, 2 configuration error,
 """
 
 import argparse
+import copy
 import csv
 import hashlib
 import json
@@ -33,23 +34,18 @@ EXIT_CONFIG = 2
 EXIT_INTEGRATION = 3
 EXIT_ORACLE = 4
 
+# Each key's type and, where it has one, its default; a key without a default is required.
 _SCHEMA = {
-    "band": {"width": float, "n_modes": int},
-    "interaction": {"u_over_w": float},
-    "dissipation": {"gamma_over_u": float, "p_over_u": float, "alpha": float},
-    "time": {"t_max_w": float, "samples": int, "spacing": str},
-    "integrator": {"rtol": float, "atol": float},
-    "output": {"path": str, "track_energies": list},
+    "band": {"width": (float,), "n_modes": (int,)},
+    "interaction": {"u_over_w": (float,)},
+    "dissipation": {"gamma_over_u": (float,), "p_over_u": (float,), "alpha": (float,)},
+    "time": {"t_max_w": (float,), "samples": (int,), "spacing": (str,)},
+    "integrator": {"rtol": (float, 1e-9), "atol": (float, 1e-12)},
+    "output": {"path": (str,), "track_energies": (list, [])},
 }
-_REQUIRED = {
-    "band": ("width", "n_modes"),
-    "interaction": ("u_over_w",),
-    "dissipation": ("gamma_over_u", "p_over_u", "alpha"),
-    "time": ("t_max_w", "samples", "spacing"),
-    "output": ("path",),
-}
-_INTEGRATOR_DEFAULTS = {"rtol": 1e-9, "atol": 1e-12}
-_INT_MAX = int(np.iinfo(np.intp).max)  # numpy cannot size or index beyond it
+# numpy must size every array an integer key sets, in bytes as well as in items.
+# The largest is the stepper's (16, 3M) float64 stage buffer: 384 bytes per mode.
+_INT_MAX = int(np.iinfo(np.intp).max) // 384
 
 
 def validate_config(raw):
@@ -64,7 +60,7 @@ def validate_config(raw):
         for key, value in content.items():
             if key not in _SCHEMA[section]:
                 raise ConfigurationError(f"unknown config key: {section}.{key}")
-            expected = _SCHEMA[section][key]
+            expected = _SCHEMA[section][key][0]
             # type() rather than isinstance(), which would let bools in; the bound
             # rejects NaN, inf and an int too large for a float (isfinite raises).
             if expected is float and type(value) in (int, float):
@@ -81,11 +77,11 @@ def validate_config(raw):
                     type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value):
                 raise ConfigurationError(
                     f"config key {section}.{key} must hold finite numbers")
-    for section, keys in _REQUIRED.items():
-        if section not in raw:
-            raise ConfigurationError(f"missing config section: {section}")
-        for key in keys:
-            if key not in raw[section]:
+    for section, keys in _SCHEMA.items():
+        for key, spec in keys.items():
+            if len(spec) == 1 and section not in raw:
+                raise ConfigurationError(f"missing config section: {section}")
+            if len(spec) == 1 and key not in raw[section]:
                 raise ConfigurationError(f"missing config key: {section}.{key}")
     if raw["time"]["spacing"] not in ("log", "linear"):
         raise ConfigurationError("config key time.spacing must be 'log' or 'linear'")
@@ -98,10 +94,9 @@ def validate_config(raw):
 def resolve_config(raw):
     """Validate and fill defaults; returns a fully explicit config dict."""
     validate_config(raw)
-    cfg = {section: dict(content) for section, content in raw.items()}
-    cfg["integrator"] = {**_INTEGRATOR_DEFAULTS, **cfg.get("integrator", {})}
-    cfg["output"].setdefault("track_energies", [])
-    return cfg
+    return {section: {**{key: copy.copy(spec[1]) for key, spec in keys.items() if len(spec) > 1},
+                      **raw.get(section, {})}
+            for section, keys in _SCHEMA.items()}
 
 
 def grid_checksum(grid):

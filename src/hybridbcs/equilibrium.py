@@ -12,12 +12,11 @@ from .errors import ConfigurationError, NoGapSolutionError
 class GapSolution:
     """Solution of 1 = |U| sum_k w_k / (2 E_k) with E_k = sqrt(eps_k^2 + gap^2).
 
-    `gap` is the energy gap (|U| * order_parameter), `order_parameter` the
-    dimensionless pair amplitude sum_k w_k Delta_k.
+    `gap` is the energy gap, |U| times the pair amplitude sum_k w_k Delta_k;
+    `residual` is |1 - |U| sum_k w_k / (2 E_k)| at that gap.
     """
 
     gap: float
-    order_parameter: float
     residual: float
 
 
@@ -52,7 +51,7 @@ def solve_gap(grid, u):
             break
     gap = 0.5 * (lo + hi)
     residual = abs(1.0 - _gap_lhs(grid, u, gap))
-    return GapSolution(gap=gap, order_parameter=gap / u, residual=residual)
+    return GapSolution(gap=gap, residual=residual)
 
 
 def continuum_gap(bandwidth, u):

@@ -2,11 +2,13 @@
 
 Operators act on 2^n_modes-dimensional spaces built by Jordan-Wigner:
 mode j annihilation is Z x ... x Z x a x 1 x ... x 1 with j Z factors in
-front, so signs are fixed once by the mode ordering. Conventions used
-throughout the oracle: modes are ordered mode-major, spin-minor, i.e.
-(site0 up, site0 down, site1 up, site1 down, ...) for real-space clusters
-and the same pattern with momentum labels for momentum-space clusters.
+front, so signs are fixed once by the mode ordering. The basis of each
+factor is (empty, occupied), and mode 0 is the leftmost Kronecker factor.
+Which physical mode sits at which index is the caller's rule; the momentum
+cluster of the oracle states its own.
 """
+
+from functools import reduce
 
 import numpy as np
 
@@ -16,15 +18,9 @@ _I = np.eye(2)
 
 
 def annihilation_operators(n_modes):
-    """Jordan-Wigner annihilation matrices for n_modes fermionic modes."""
-    ops = []
-    for j in range(n_modes):
-        factors = [_Z] * j + [_A] + [_I] * (n_modes - j - 1)
-        op = factors[0]
-        for f in factors[1:]:
-            op = np.kron(op, f)
-        ops.append(op.astype(complex))
-    return ops
+    """Jordan-Wigner annihilation matrices, as an (n_modes, 2^n, 2^n) stack."""
+    return np.array([reduce(np.kron, [_Z] * j + [_A] + [_I] * (n_modes - j - 1))
+                     for j in range(n_modes)], dtype=complex)
 
 
 def dagger(op):
@@ -61,41 +57,20 @@ def thermal_gaussian(c_ops, h_matrix):
     return rho / np.trace(rho)
 
 
-def pair_condensate_state(c_ops, pairs, occupations, pair_amplitudes):
-    """Gaussian density matrix with prescribed (n, Delta) per mode pair.
+def pair_block(n, delta):
+    """One pairing channel's 4 x 4 Gaussian block, on JW-adjacent modes (a, b).
 
-    pairs is a list of (a, b) mode-index tuples; for pair p the state has
-    <c_a^dag c_a> = <c_b^dag c_b> = occupations[p] and
-    <c_a^dag c_b^dag> = pair_amplitudes[p]. Off-diagonal 4-point functions
-    are fixed by Wick factorization, which pins the weight of the
-    singly-occupied sector: the state is pure exactly when
-    |Delta|^2 = n(1 - n). Modes not listed in any pair stay empty.
-
-    Pair members must be adjacent in the Jordan-Wigner ordering (b = a + 1)
-    so the pair-raising operator carries no string on other modes and the
-    per-pair blocks commute.
+    In the basis |n_a n_b> = |00>, |01>, |10>, |11> the block has
+    <c_a^dag c_a> = <c_b^dag c_b> = n and <c_a^dag c_b^dag> = delta. Wick
+    factorization fixes the weight of the singly-occupied sector, so the
+    block is pure exactly when |delta|^2 = n(1 - n). The block is even, so a
+    state of several channels is the Kronecker product of their blocks.
     """
-    dim = c_ops[0].shape[0]
-    rho = np.eye(dim, dtype=complex)
-    listed = set()
-    for (a, b), n, delta in zip(pairs, occupations, pair_amplitudes):
-        if b != a + 1:
-            raise ValueError("pair members must be JW-adjacent modes (b = a + 1)")
-        listed.update((a, b))
-        if abs(delta) ** 2 > n * (1.0 - n) + 1e-12:
-            raise ValueError("unphysical pair block: |Delta|^2 > n(1-n)")
-        ca, cb = c_ops[a], c_ops[b]
-        na, nb = dagger(ca) @ ca, dagger(cb) @ cb
-        ha, hb = np.eye(dim) - na, np.eye(dim) - nb
-        p11 = n ** 2 + abs(delta) ** 2
-        q = n - p11  # = n(1-n) - |Delta|^2, the Wick-fixed mixed weight
-        p00 = 1.0 - 2.0 * n + p11
-        pair_raise = dagger(ca) @ dagger(cb)
-        block = (p00 * ha @ hb + p11 * na @ nb + q * (na @ hb + ha @ nb)
-                 + np.conj(delta) * pair_raise + delta * dagger(pair_raise))
-        rho = rho @ block  # blocks are even operators on disjoint modes: they commute
-    for j, c in enumerate(c_ops):
-        if j not in listed:
-            rho = rho @ (np.eye(dim) - dagger(c) @ c)
-    return rho
-
+    if abs(delta) ** 2 > n * (1.0 - n) + 1e-12:
+        raise ValueError("unphysical pair block: |Delta|^2 > n(1-n)")
+    p11 = n ** 2 + abs(delta) ** 2
+    q = n - p11  # = n(1-n) - |Delta|^2, the Wick-fixed mixed weight
+    block = np.diag([1.0 - 2.0 * n + p11, q, q, p11]).astype(complex)
+    block[0, 3] = delta  # <c_a^dag c_b^dag> = Tr(rho |11><00|)
+    block[3, 0] = np.conj(delta)
+    return block

@@ -9,6 +9,7 @@ alpha, propagated_rhs pins that reference to the propagated density matrix.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -64,70 +65,34 @@ def _worst(diff, n_sites):
 class MomentumCluster:
     """L-site periodic cluster in the momentum basis with (k up, -k down) pairing.
 
-    Momentum m pairs with m' = (L - m) % L; the Jordan-Wigner mode ordering
-    places the two members of every pairing channel adjacently so Gaussian
-    pair states factorize. Site operators are Fourier combinations of the
-    momentum operators. observables stacks n_k (up spin), then Delta_k.
+    One rule fixes the Jordan-Wigner layout: pairing channel m = (m up, -m down),
+    with -m = (L - m) % L, holds modes 2m and 2m + 1. Every channel is then
+    JW-adjacent and even, so a Gaussian pair state is the Kronecker product of
+    the channels' 4 x 4 blocks. Site operators are Fourier combinations of the
+    momentum operators, as (L, d, d) stacks. observables stacks n_k (up spin),
+    then Delta_k.
     """
 
     def __init__(self, energies):
         energies = np.asarray(energies, dtype=float)
         n_sites = len(energies)
-        for m in range(n_sites):
-            mp = (n_sites - m) % n_sites
-            if abs(energies[m] - energies[mp]) > 1e-12:
-                raise ConfigurationError("energies must satisfy eps(k) = eps(-k)")
-        self.n_sites = n_sites
-        self.energies = energies
-        self.up = {}
-        self.down = {}
-        order = []  # (momentum, spin) in JW order, pairing partners adjacent
-        seen = set()
-        for m in range(n_sites):
-            if m in seen:
-                continue
-            mp = (n_sites - m) % n_sites
-            seen.update((m, mp))
-            if mp == m:
-                order += [(m, "up"), (m, "down")]
-            else:
-                order += [(m, "up"), (mp, "down"), (mp, "up"), (m, "down")]
-        for idx, (m, spin) in enumerate(order):
-            (self.up if spin == "up" else self.down)[m] = idx
-        self.c = fock.annihilation_operators(2 * n_sites)
-        self.dim = self.c[0].shape[0]
+        minus = -np.arange(n_sites) % n_sites
+        if np.any(np.abs(energies - energies[minus]) > 1e-12):
+            raise ConfigurationError("energies must satisfy eps(k) = eps(-k)")
+        c = fock.annihilation_operators(2 * n_sites)
+        self.dim = c.shape[-1]
+        up, down = c[0::2], c[1::2][minus]
         # c_{i sigma} = (1/sqrt(L)) sum_k exp(i k r_i) c_{k sigma}
         phases = np.exp(2j * np.pi * np.outer(np.arange(n_sites), np.arange(n_sites))
                         / n_sites) / np.sqrt(n_sites)
-        self.site_up = [sum(phases[i, m] * self.c[self.up[m]] for m in range(n_sites))
-                        for i in range(n_sites)]
-        self.site_down = [sum(phases[i, m] * self.c[self.down[m]] for m in range(n_sites))
-                          for i in range(n_sites)]
-        self.site_pairs = [self.site_down[i] @ self.site_up[i] for i in range(n_sites)]
-        self.kinetic = sum(energies[m] * (self.occupation_operator(m, "up")
-                                          + self.occupation_operator(m, "down"))
-                           for m in range(n_sites))
-        self.observables = np.array([self.occupation_operator(m) for m in range(n_sites)]
-                                    + [self.pairing_operator(m) for m in range(n_sites)])
-
-    def pairing_channels(self):
-        """(mode a, mode b) = (k up, -k down) JW index pairs, one per momentum."""
-        return [(self.up[m], self.down[(self.n_sites - m) % self.n_sites])
-                for m in range(self.n_sites)]
-
-    def occupation_operator(self, m, spin="up"):
-        c = self.c[self.up[m] if spin == "up" else self.down[m]]
-        return fock.dagger(c) @ c
-
-    def pairing_operator(self, m):
-        a, b = self.pairing_channels()[m]
-        return fock.dagger(self.c[a]) @ fock.dagger(self.c[b])
+        self.site_up, self.site_down = np.einsum("im,smab->siab", phases, [up, down])
+        self.site_pairs = self.site_down @ self.site_up
+        n_up = fock.dagger(up) @ up
+        self.kinetic = np.einsum("m,mab->ab", energies, n_up + fock.dagger(down) @ down)
+        self.observables = np.concatenate([n_up, fock.dagger(up) @ fock.dagger(c[1::2])])
 
     def gaussian_state(self, n_k, d_k):
-        # The mode ordering makes every channel JW-adjacent (b = a + 1), so the
-        # Gaussian state is a plain product of commuting pair blocks.
-        pairs = self.pairing_channels()
-        return fock.pair_condensate_state(self.c, pairs, list(n_k), list(d_k))
+        return reduce(np.kron, [fock.pair_block(n, d) for n, d in zip(n_k, d_k)])
 
     def mean_field_hamiltonian(self, delta, u):
         """Pairing-channel mean-field Hamiltonian with instantaneous Delta.
@@ -136,7 +101,7 @@ class MomentumCluster:
         -|U| Delta sum_i c_{i down} c_{i up} + h.c.; no Hartree shift.
         """
         coupling = -u * delta
-        pair_sum = sum(self.site_pairs)
+        pair_sum = self.site_pairs.sum(axis=0)
         return self.kinetic + coupling * pair_sum + np.conj(coupling) * fock.dagger(pair_sum)
 
     def jump_operators(self, gamma, pump):

@@ -105,10 +105,16 @@ def test_validate_rejects_bad_time_axis(tmp_path):
 
 
 def test_validate_rejects_integers_numpy_cannot_size(tmp_path):
-    # Above the largest intp numpy raises ValueError ("Maximum allowed size
-    # exceeded"), which used to end the run with exit 1.
-    for section, key, value in (("band", "n_modes", 10 ** 400), ("time", "samples", 10 ** 20),
-                                ("band", "n_modes", int(np.iinfo(np.intp).max) + 1)):
+    # numpy raises ValueError ("Maximum allowed size exceeded", "array is too
+    # big") for an array whose items or bytes exceed the largest intp, which
+    # used to end the run with exit 1. The stepper's stage buffer holds 384
+    # bytes per mode, so the bound is intp.max // 384.
+    bound = int(np.iinfo(np.intp).max) // 384
+    too_big = [(section, key, value)
+               for section, key in (("band", "n_modes"), ("time", "samples"))
+               for value in (2 ** 60, bound + 1, int(np.iinfo(np.intp).max) + 1)]
+    for section, key, value in [("band", "n_modes", 10 ** 400), ("time", "samples", 10 ** 20),
+                                *too_big]:
         cfg = base_config(tmp_path)
         cfg[section][key] = value
         with pytest.raises(ConfigurationError, match=f"{section}.{key} must be at most"):
@@ -116,6 +122,9 @@ def test_validate_rejects_integers_numpy_cannot_size(tmp_path):
         assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
     assert not (tmp_path / "out.csv").exists()
     assert not (tmp_path / "out.json").exists()
+    cfg = base_config(tmp_path)
+    cfg["band"]["n_modes"] = cfg["time"]["samples"] = bound
+    cli.validate_config(cfg)
 
 
 def test_validate_rejects_missing_sections(tmp_path):

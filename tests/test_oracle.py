@@ -33,10 +33,12 @@ def test_car_relations():
 
 
 def test_pair_condensate_expectations():
+    # Two channels on JW-adjacent modes (0, 1) and (2, 3): their Kronecker
+    # product carries each channel's (n, Delta) with no string between them.
     c = fock.annihilation_operators(4)
     n_vals = [0.3, 0.6]
     d_vals = [0.2 + 0.1j, 0.25j]
-    rho = fock.pair_condensate_state(c, [(0, 1), (2, 3)], n_vals, d_vals)
+    rho = np.kron(fock.pair_block(n_vals[0], d_vals[0]), fock.pair_block(n_vals[1], d_vals[1]))
     assert abs(np.trace(rho) - 1.0) < 1e-13
     for p, (a, b) in enumerate([(0, 1), (2, 3)]):
         for j in (a, b):
@@ -48,25 +50,19 @@ def test_pair_condensate_expectations():
 
 def test_pair_condensate_purity_on_unit_shell():
     # |Delta|^2 = n(1-n) makes the pair block a pure state.
-    c = fock.annihilation_operators(2)
     n = 0.35
-    rho = fock.pair_condensate_state(c, [(0, 1)], [n], [np.sqrt(n * (1 - n))])
+    rho = fock.pair_block(n, np.sqrt(n * (1 - n)))
     assert abs(np.trace(rho @ rho) - 1.0) < 1e-12
 
 
 def test_pair_condensate_is_positive():
-    c = fock.annihilation_operators(2)
-    rho = fock.pair_condensate_state(c, [(0, 1)], [0.4], [0.2 + 0.3j])
-    evals = np.linalg.eigvalsh(rho)
+    evals = np.linalg.eigvalsh(fock.pair_block(0.4, 0.2 + 0.3j))
     assert np.min(evals) > -1e-14
 
 
 def test_pair_condensate_rejects_bad_input():
-    c = fock.annihilation_operators(3)
-    with pytest.raises(ValueError):
-        fock.pair_condensate_state(c, [(0, 2)], [0.3], [0.1])
-    with pytest.raises(ValueError):
-        fock.pair_condensate_state(c, [(0, 1)], [0.3], [0.9])
+    with pytest.raises(ValueError, match="unphysical"):
+        fock.pair_block(0.3, 0.9)
 
 
 def test_thermal_gaussian_occupations():
@@ -97,6 +93,21 @@ def test_momentum_cluster_consistency():
     assert abs(local_pair - np.mean(state.d_k)) < 1e-12
 
 
+@pytest.mark.parametrize("n_sites", [2, 3])
+def test_gaussian_state_carries_its_moments(n_sites):
+    # Channel m holds (m up, -m down); on 3 sites channel 1 pairs momenta 1 and 2.
+    grid = cluster_grid(n_sites)
+    cluster = MomentumCluster(grid.energies)
+    state = random_physical_state(np.random.default_rng(41), n_sites)
+    if n_sites == 3:
+        state.n_k[2] = state.n_k[1]
+        state.d_k[2] = state.d_k[1]
+    rho = cluster.gaussian_state(state.n_k, state.d_k)
+    moments = np.einsum("ij,kji->k", rho, cluster.observables) / np.trace(rho)
+    expected = np.concatenate([state.n_k, state.d_k])
+    assert np.max(np.abs(moments - expected)) < 1e-13
+
+
 def test_momentum_cluster_rejects_asymmetric_energies():
     with pytest.raises(ConfigurationError):
         MomentumCluster([0.0, 0.3, 0.5])
@@ -106,7 +117,7 @@ def test_exact_rhs_dimension_mismatch():
     cluster = MomentumCluster([-0.4, 0.4])
     rho = np.eye(cluster.dim) / cluster.dim
     with pytest.raises(ConfigurationError):
-        exact_hybrid_rhs(rho, np.eye(4), [], 1.0, cluster.occupation_operator(0))
+        exact_hybrid_rhs(rho, np.eye(4), [], 1.0, cluster.observables[0])
     # Observable stacks whose last dimension does not match the state.
     for shape in ((4, 8, 8), (4, cluster.dim, 8)):
         with pytest.raises(ConfigurationError):
@@ -119,8 +130,7 @@ def test_exact_rhs_stack_matches_single_observables(n_sites):
     state = random_physical_state(np.random.default_rng(21), n_sites)
     rho = cluster.gaussian_state(state.n_k, state.d_k)
     h = cluster.mean_field_hamiltonian(np.mean(state.d_k), 1.0)
-    singles = ([cluster.occupation_operator(m) for m in range(n_sites)]
-               + [cluster.pairing_operator(m) for m in range(n_sites)])
+    singles = [cluster.observables[j] for j in range(2 * n_sites)]
     for gamma, pump in ((0.0, 0.0), (0.3, 0.0), (0.3, 0.25)):
         losses, pumps = cluster.jump_operators(gamma, pump)
         for alpha in (0.0, 0.5, 1.0):
