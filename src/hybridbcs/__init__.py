@@ -11,13 +11,7 @@ from .dynamics import (
     pseudospin,
     rhs_total,
 )
-from .integrator import (
-    Protocol,
-    TimeSeries,
-    linear_sample_times,
-    log_sample_times,
-    run_protocol,
-)
+from .integrator import Protocol, TimeSeries, run_protocol
 from .observables import (
     PlateauReport,
     PowerLawFit,
@@ -59,8 +53,6 @@ __all__ = [
     "detect_plateau",
     "exponent_drift",
     "fit_power_law",
-    "linear_sample_times",
-    "log_sample_times",
     "order_parameter",
     "particle_hole_transform",
     "population_inversion_time",

@@ -17,7 +17,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from functools import partial
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from . import __version__
 from .dynamics import SystemParams
 from .equilibrium import build_ground_state, solve_gap
 from .errors import ConfigurationError, IntegrationError, NoGapSolutionError
-from .integrator import Protocol, linear_sample_times, log_sample_times, run_protocol
+from .integrator import Protocol, run_protocol
 from .lattice import build_flat_band
 from .observables import collapse_index, detect_plateau, fit_power_law
 from . import oracle
@@ -117,9 +116,9 @@ def assemble(cfg):
     t_max = cfg["time"]["t_max_w"] / width
     samples = cfg["time"]["samples"]
     if cfg["time"]["spacing"] == "log":
-        times = log_sample_times(t_max * 1e-5, t_max, samples)
+        times = np.geomspace(t_max * 1e-5, t_max, samples)
     else:
-        times = linear_sample_times(t_max, samples)
+        times = np.linspace(t_max / samples, t_max, samples)
     track = [grid.nearest_mode(e * width) for e in cfg["output"]["track_energies"]]
     protocol = Protocol(sample_times=times, record_modes=track)
     initial = build_ground_state(grid, solve_gap(grid, u))
@@ -156,13 +155,8 @@ def execute_run(cfg):
     series = run_protocol(initial, params, protocol, rtol=integ["rtol"], atol=integ["atol"])
     path = cfg["output"]["path"]
     write_csv(path, series)
-    write_sidecar(_sidecar_path(path), cfg, grid, series)
+    write_sidecar(os.path.splitext(path)[0] + ".json", cfg, grid, series)
     return series
-
-
-def _sidecar_path(csv_path):
-    root, ext = os.path.splitext(csv_path)
-    return root + ".json"
 
 
 def _load_config(path):
@@ -173,7 +167,12 @@ def _load_config(path):
         raise ConfigurationError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}")
-    return resolve_config(raw)
+    cfg = resolve_config(raw)
+    # Every output goes next to output.path: fail before the runs, not after.
+    directory = os.path.dirname(cfg["output"]["path"]) or "."
+    if not os.path.isdir(directory):
+        raise ConfigurationError(f"output directory {directory} does not exist")
+    return cfg
 
 
 def cmd_run(args):
@@ -210,10 +209,16 @@ def _scan_one(cfg):
     return [format(value, spec) for value, (_, spec) in zip(values, _SUMMARY)]
 
 
+def _scan_row(cfg):
+    """The status and _SUMMARY cells of one scan run; a failed run is a row too."""
+    try:
+        return ["ok", *_scan_one(cfg)]
+    except (IntegrationError, ConfigurationError) as exc:
+        return [f"failed: {exc}"] + [""] * len(_SUMMARY)
+
+
 def cmd_scan(args):
     cfg = _load_config(args.config)
-    if args.axis not in _AXIS_KEYS:
-        raise ConfigurationError(f"unknown scan axis: {args.axis}")
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError:
@@ -226,8 +231,7 @@ def cmd_scan(args):
         raise ConfigurationError(f"--workers must be at least 1, got {args.workers}")
     section, key = _AXIS_KEYS[args.axis]
 
-    base = cfg["output"]["path"]
-    root, ext = os.path.splitext(base)
+    root, ext = os.path.splitext(cfg["output"]["path"])
     ext = ext or ".csv"
     jobs, writers = [], {}
     for value in values:
@@ -236,26 +240,15 @@ def cmd_scan(args):
             raise ConfigurationError(
                 f"scan values {writers[path]!r} and {value!r} would both write {path}")
         writers[path] = value
-        run_cfg = json.loads(json.dumps(cfg))
+        run_cfg = copy.deepcopy(cfg)
         run_cfg[section][key] = value
         run_cfg["output"]["path"] = path
         jobs.append(run_cfg)
 
-    rows = []
-    failures = 0
-    serial = args.workers == 1
-    with nullcontext() if serial else ProcessPoolExecutor(max_workers=args.workers) as pool:
-        if pool is None:
-            results = [partial(_scan_one, job) for job in jobs]
-        else:
-            results = [pool.submit(_scan_one, job).result for job in jobs]
-        for value, job, result in zip(values, jobs, results):
-            try:
-                status, cells = "ok", result()
-            except (IntegrationError, ConfigurationError) as exc:
-                failures += 1
-                status, cells = f"failed: {exc}", [""] * len(_SUMMARY)
-            rows.append([f"{value:g}", job["output"]["path"], status, *cells])
+    with nullcontext() if args.workers == 1 else ProcessPoolExecutor(args.workers) as pool:
+        rows = [[f"{value:g}", job["output"]["path"], *row] for value, job, row
+                in zip(values, jobs, (pool.map if pool else map)(_scan_row, jobs))]
+    failures = sum(row[2] != "ok" for row in rows)
 
     summary = f"{root}_{args.axis}_summary{ext}"
     with open(summary, "w", newline="") as handle:
@@ -279,6 +272,8 @@ def cmd_fit(args):
     except OSError as exc:
         raise ConfigurationError(f"cannot read input: {exc}")
     except (ValueError, StopIteration):
+        data = None
+    if data is None or data.ndim != 2 or data.shape[1] != len(header):
         raise ConfigurationError(f"{args.input} is not a run CSV")
     if "t_w" not in header or args.column not in header:
         raise ConfigurationError(

@@ -95,8 +95,8 @@ _MAX_FACTOR = 10.0
 # PI controller exponents; Hairer's error norm scales like dt^8.
 _K_I = 0.7 / 8.0
 _K_P = 0.4 / 8.0
-# A run may take _BUDGET_BASE + samples + _BUDGET_PER_WT W (t_end - t0) steps,
-# rejections included; converged runs take about 10 per unit W t at rtol 1e-12.
+# A run may take _BUDGET_BASE + _BUDGET_PER_WT W (t_end - t0) attempts, rejections
+# included; converged runs take about 10 per unit W t at rtol 1e-12.
 _BUDGET_BASE = 1000
 _BUDGET_PER_WT = 100
 
@@ -104,23 +104,27 @@ _BUDGET_PER_WT = 100
 class AdaptiveStepper:
     """Embedded 8(5,3) stepper with PI control, FSAL reuse and dense output.
 
-    Samples inside a step come from sample(), the 7th-order interpolant, so
-    run_protocol shortens only its last step. Row 12 of the (16, size) stage
-    buffer, f at the new point, is filled by initial_step and copied into row
-    0 as a step starts, so sample() finds the last step's stages intact. Two
-    packed buffers, each with a BcsState over its views, take turns as
-    self.state and the stages' target. An attempt costs twelve RHS evaluations
-    and a step sample() reads three more; n_evals counts all, n_dense those steps.
+    The stepper runs from initial.t to t_end and shortens only its last step to
+    end there; samples inside a step come from sample(), the 7th-order
+    interpolant. Row 12 of the (16, size) stage buffer, f at the new point, is
+    filled by __init__ and copied into row 0 as a step starts, so sample() finds
+    the last step's stages intact. Two packed buffers, each with a BcsState over
+    its views, take turns as self.state and the stages' target. An attempt costs
+    twelve RHS evaluations and a step sample() reads three more; n_evals counts
+    all, n_dense those steps. self.dt is the next step's proposal.
     """
 
-    def __init__(self, params, initial, rtol, atol):
+    def __init__(self, params, initial, t_end, rtol, atol):
         if rtol <= 0 or atol <= 0:
             raise ConfigurationError("rtol and atol must be positive")
         self.params = params
+        self.t_end = t_end
         self.rtol = rtol
         self.atol = atol
-        self.min_step = 1e-12 / params.grid.bandwidth
-        self.n_steps = self.n_rejected = self.n_evals = self.n_dense = 0
+        width = params.grid.bandwidth
+        self.min_step = 1e-12 / width
+        self.budget = _BUDGET_BASE + _BUDGET_PER_WT * width * (t_end - initial.t)
+        self.n_steps = self.n_rejected = self.n_dense = 0
         self.dt_min = self.dt_max = None
         self._err_prev = 1.0
         y = _pack(initial)
@@ -130,16 +134,13 @@ class AdaptiveStepper:
         self._dense_at = self._h = 0  # the step whose extra stages are in k; last dt
         self._k = np.empty((16, y.size))
         self._err = np.empty((3, y.size))  # the scale, then the two error rows
-
-    def initial_step(self):
-        """Evaluate f at the current state into the FSAL stage; returns a first dt."""
-        y, f0 = self._bufs[0][0], self._k[12]
-        f0[:] = rhs_total(self.state, self.params)
-        self.n_evals += 1
-        scale = self.atol + self.rtol * np.abs(y)
+        f0 = self._k[12]
+        f0[:] = rhs_total(self.state, params)
+        self.n_evals = 1
+        scale = atol + rtol * np.abs(y)
         d0 = np.sqrt(np.mean((y / scale) ** 2))
         d1 = np.sqrt(np.mean((f0 / scale) ** 2))
-        return 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
+        self.dt = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
 
     def _stages(self, rows, h, y, t, buf, state):
         """Evaluate the stages in rows of a step of size h from (t, y) into self._k."""
@@ -162,18 +163,17 @@ class AdaptiveStepper:
         e5, e3 = np.einsum("ij,ij->i", rows, rows)
         return abs(dt) * e5 / np.sqrt((e5 + 0.01 * e3) * y.size) if e5 or e3 else 0.0
 
-    def step(self, dt, t_limit):
-        """Advance self.state by one accepted step; returns the next proposal.
-
-        The proposal dt is truncated to land exactly on t_limit when it would
-        overshoot.
-        """
+    def step(self):
+        """Advance self.state by one accepted step, ending on t_end if it would pass it."""
         (y, state), (y_new, stage) = self._bufs
         t = state.t
         self._k[0] = self._k[12]
         while True:
-            hit = dt >= t_limit - t
-            dt_try = t_limit - t if hit else dt
+            if self.n_steps + self.n_rejected >= self.budget:
+                raise StepUnderflowError(
+                    f"step budget {self.budget:.0f} exhausted at t={t}", t=t)
+            hit = self.dt >= self.t_end - t
+            dt_try = self.t_end - t if hit else self.dt
             self._stages(range(1, 13), dt_try, y, t, y_new, stage)
             err = self._error_norm(dt_try, y, y_new)
             if err <= 1.0:
@@ -185,13 +185,14 @@ class AdaptiveStepper:
                 factor = min(_MAX_FACTOR,
                              _SAFETY * err_floor ** -_K_I * self._err_prev ** _K_P)
                 self._err_prev = err_floor
-                stage.t = t_limit if hit else t + dt_try
+                stage.t = self.t_end if hit else t + dt_try
                 self._bufs.reverse()
                 self.state = stage
-                return dt_try * factor
+                self.dt = dt_try * factor
+                return
             self.n_rejected += 1
-            dt = dt_try * max(_MIN_FACTOR, _SAFETY * err ** -0.125)
-            if dt < self.min_step:
+            self.dt = dt_try * max(_MIN_FACTOR, _SAFETY * err ** -0.125)
+            if self.dt < self.min_step:
                 raise StepUnderflowError(f"step size underflow at t={t}", t=t)
 
     def sample(self, t):
@@ -223,14 +224,6 @@ class Protocol:
             raise ConfigurationError("sample_times must be strictly increasing")
         if times[0] < 0:
             raise ConfigurationError("sample_times must be non-negative")
-
-
-def log_sample_times(t_min, t_max, samples):
-    return np.geomspace(t_min, t_max, samples)
-
-
-def linear_sample_times(t_max, samples):
-    return np.linspace(t_max / samples, t_max, samples)
 
 
 @dataclass
@@ -296,16 +289,10 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12):
                   "params": {"u": params.u, "gamma": params.gamma, "pump": params.pump,
                              "alpha": params.alpha}})
 
-    stepper = AdaptiveStepper(params, initial, rtol=rtol, atol=atol)
-    budget = (_BUDGET_BASE + n_samples
-              + _BUDGET_PER_WT * grid.bandwidth * (t_end - initial.t))
-    dt = stepper.initial_step()
+    stepper = AdaptiveStepper(params, initial, t_end, rtol, atol)
     for i, t_sample in enumerate(protocol.sample_times):
         while (t := stepper.state.t) < t_sample:
-            if stepper.n_steps + stepper.n_rejected > budget:
-                raise StepUnderflowError(
-                    f"step budget {budget:.0f} exhausted at t={t}", t=t)
-            dt = stepper.step(dt, t_end)
+            stepper.step()
         state = stepper.state if t == t_sample else stepper.sample(t_sample)
         series.n[i] = density(state, grid)
         series.delta[i] = order_parameter(state, grid)

@@ -22,7 +22,7 @@ from hybridbcs.dynamics import (
     rhs_total,
 )
 from hybridbcs.equilibrium import build_ground_state, continuum_gap, solve_gap
-from hybridbcs.integrator import Protocol, log_sample_times, run_protocol
+from hybridbcs.integrator import Protocol, run_protocol
 from hybridbcs.lattice import build_flat_band
 from hybridbcs.observables import collapse_index, detect_plateau, exponent_drift, \
     fit_power_law, population_inversion_time
@@ -64,7 +64,7 @@ def loss_family():
             record, rtol, atol = tuple(range(n_modes)), 1e-10, 1e-13
         else:
             record, rtol, atol = (), 1e-9, 1e-12
-        protocol = Protocol(sample_times=log_sample_times(1e-2, t_max, samples),
+        protocol = Protocol(sample_times=np.geomspace(1e-2, t_max, samples),
                             record_modes=record)
         params = SystemParams(u=U_OVER_W, gamma=GAMMA_OVER_U * U_OVER_W, pump=0.0,
                               alpha=alpha, grid=grid)
@@ -79,7 +79,7 @@ def balanced_family():
     grid = build_flat_band(1.0, 512)
     ground = build_ground_state(grid, solve_gap(grid, U_OVER_W))
     track = tuple(grid.nearest_mode(e) for e in (-0.25, -0.05, 0.05, 0.25))
-    protocol = Protocol(sample_times=log_sample_times(1e-2, 300.0, 400),
+    protocol = Protocol(sample_times=np.geomspace(1e-2, 300.0, 400),
                         record_modes=track)
     family = {}
     for alpha, rtol in ((1.0, 1e-9), (0.0, 1e-10)):
@@ -113,7 +113,7 @@ def test_criterion_2_equilibrium(record_criterion):
     for u in (0.5, 1.0):
         ground = build_ground_state(grid, solve_gap(grid, u))
         params = SystemParams(u=u, gamma=0.0, pump=0.0, alpha=1.0, grid=grid)
-        protocol = Protocol(sample_times=log_sample_times(1.0, 100.0, 50))
+        protocol = Protocol(sample_times=np.geomspace(1.0, 100.0, 50))
         series = run_protocol(ground, params, protocol, rtol=1e-10, atol=1e-13)
         n0 = 2.0 * np.sum(grid.weights * ground.n_k)
         delta0 = np.sum(grid.weights * ground.d_k)
@@ -282,7 +282,7 @@ def test_criterion_8_duality_and_determinism(record_criterion, tmp_path,
 
     ground = build_ground_state(grid, solve_gap(grid, 1.0))
     params = SystemParams(u=1.0, gamma=0.08, pump=0.0, alpha=0.5, grid=grid)
-    protocol = Protocol(sample_times=log_sample_times(0.1, 50.0, 40))
+    protocol = Protocol(sample_times=np.geomspace(0.1, 50.0, 40))
     first = run_protocol(ground, params, protocol)
     second = run_protocol(ground, params, protocol)
     ok_repeat = (np.array_equal(first.n, second.n)

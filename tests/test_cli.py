@@ -230,6 +230,16 @@ def test_fit_command(tmp_path, capsys):
     assert cli.main(["fit", "--input", str(path), "--column", "n",
                      "--window", "banana"]) == cli.EXIT_CONFIG
 
+    # A header alone, or rows shorter than the header, used to raise IndexError.
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("t_w,n\n")
+    short_rows = tmp_path / "short.csv"
+    short_rows.write_text("t_w,n\n1.0\n2.0\n")
+    for bad in (header_only, short_rows):
+        assert cli.main(["fit", "--input", str(bad), "--column", "n",
+                         "--window", "1,100"]) == cli.EXIT_CONFIG
+        assert "is not a run CSV" in capsys.readouterr().err
+
 
 def test_fit_rejects_non_finite_data(tmp_path, capsys):
     # One nan in the window used to print "exponent": NaN (not JSON) and exit 0.
@@ -337,6 +347,31 @@ def test_scan_tolerates_single_failed_run(tmp_path, monkeypatch):
     statuses = [row[2] for row in rows[1:]]
     assert statuses[0].startswith("failed")
     assert statuses[1] == "ok"
+
+
+def test_pooled_scan_reports_a_failed_run(tmp_path):
+    # A run that fails in a pool worker becomes its own failed row.
+    config_path = write_config(tmp_path, base_config(tmp_path, samples=15))
+    assert cli.main(["scan", "--config", config_path, "--axis", "alpha",
+                     "--values", "1.5,0.5", "--workers", "2"]) == cli.EXIT_INTEGRATION
+    with open(tmp_path / "out_alpha_summary.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert [row[:3] for row in rows[1:]] == [
+        ["1.5", str(tmp_path / "out_alpha_1.5.csv"), "failed: alpha must lie in [0, 1]"],
+        ["0.5", str(tmp_path / "out_alpha_0.5.csv"), "ok"]]
+    assert rows[1][3:] == [""] * len(cli._SUMMARY)
+
+
+def test_missing_output_directory_exit_code(tmp_path, capsys):
+    # Checked before any run: the runs used to finish, then fail to write.
+    cfg = base_config(tmp_path, samples=15)
+    cfg["output"]["path"] = str(tmp_path / "runs" / "out.csv")
+    config_path = write_config(tmp_path, cfg)
+    for argv in (["run"], ["scan", "--axis", "gamma", "--values", "0.08,0.16",
+                           "--workers", "2"]):
+        assert cli.main([*argv, "--config", config_path]) == cli.EXIT_CONFIG
+        assert "does not exist" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 def test_scan_propagates_programming_errors(tmp_path, monkeypatch):
