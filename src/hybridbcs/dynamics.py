@@ -72,7 +72,8 @@ def _unpack(y, t):
 
 def density(state, grid):
     """Total density n = 2 sum_k w_k n_k (factor 2 for spin)."""
-    return 2.0 * float(grid.weights @ state.n_k)
+    # einsum, not BLAS ddot, whose bits OpenBLAS lets depend on the thread count.
+    return 2.0 * float(np.einsum("i,i->", grid.weights, state.n_k))
 
 
 def _pairs(d_k):
@@ -96,7 +97,7 @@ def pseudospin(state, grid):
     sy = 2.0 * state.d_k.imag
     sz = 2.0 * state.n_k - 1.0
     zeta_k = sx ** 2 + sy ** 2 + sz ** 2
-    zeta_mean = float(grid.weights @ zeta_k)
+    zeta_mean = float(np.einsum("i,i->", grid.weights, zeta_k))  # see density
     return sx, sy, sz, zeta_k, zeta_mean
 
 

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -443,3 +445,21 @@ def test_oracle_seeds_below_one_exit_code(capsys):
 
 def test_oracle_bad_sites(capsys):
     assert cli.main(["oracle", "--sites", "5"]) == cli.EXIT_CONFIG
+
+
+def test_run_is_bit_identical_at_any_blas_thread_count(tmp_path):
+    # OpenBLAS splits a long dot product across threads, which reorders its
+    # sum; every reduction over modes must give the same bits at any count.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    cfg = base_config(tmp_path, t_max_w=50.0, samples=50)
+    cfg["band"]["n_modes"] = 16384
+    cfg["dissipation"]["alpha"] = 0.0
+    config_path = write_config(tmp_path, cfg)
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-m", "hybridbcs.cli", "run", "--config", config_path],
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+        outputs.append((tmp_path / "out.csv").read_bytes())
+    assert outputs[0] == outputs[1]
