@@ -460,6 +460,6 @@ def test_run_is_bit_identical_at_any_blas_thread_count(tmp_path):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         subprocess.run([sys.executable, "-m", "hybridbcs.cli", "run", "--config", config_path],
-                       env=env, check=True, stdout=subprocess.DEVNULL)
+                       env=env, check=True, stdout=subprocess.DEVNULL, timeout=120)
         outputs.append((tmp_path / "out.csv").read_bytes())
     assert outputs[0] == outputs[1]
