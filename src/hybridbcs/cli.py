@@ -172,7 +172,15 @@ def _load_config(path):
     directory = os.path.dirname(cfg["output"]["path"]) or "."
     if not os.path.isdir(directory):
         raise ConfigurationError(f"output directory {directory} does not exist")
+    _check_output(cfg["output"]["path"])
     return cfg
+
+
+def _check_output(path):
+    """Reject a run output whose CSV or .json sidecar path names a directory."""
+    for target in (path, os.path.splitext(path)[0] + ".json"):
+        if os.path.isdir(target):
+            raise ConfigurationError(f"output path {target} is a directory")
 
 
 def cmd_run(args):
@@ -240,17 +248,21 @@ def cmd_scan(args):
             raise ConfigurationError(
                 f"scan values {writers[path]!r} and {value!r} would both write {path}")
         writers[path] = value
+        _check_output(path)
         run_cfg = copy.deepcopy(cfg)
         run_cfg[section][key] = value
         run_cfg["output"]["path"] = path
         jobs.append(run_cfg)
+
+    summary = f"{root}_{args.axis}_summary{ext}"
+    if os.path.isdir(summary):
+        raise ConfigurationError(f"output path {summary} is a directory")
 
     with nullcontext() if args.workers == 1 else ProcessPoolExecutor(args.workers) as pool:
         rows = [[f"{value:g}", job["output"]["path"], *row] for value, job, row
                 in zip(values, jobs, (pool.map if pool else map)(_scan_row, jobs))]
     failures = sum(row[2] != "ok" for row in rows)
 
-    summary = f"{root}_{args.axis}_summary{ext}"
     with open(summary, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([args.axis, "path", "status", *(name for name, _ in _SUMMARY)])

@@ -8,19 +8,24 @@ Which physical mode sits at which index is the caller's rule; the momentum
 cluster of the oracle states its own.
 """
 
-from functools import reduce
-
 import numpy as np
-
-_A = np.array([[0.0, 1.0], [0.0, 0.0]])  # |0><1|
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-_I = np.eye(2)
 
 
 def annihilation_operators(n_modes):
-    """Jordan-Wigner annihilation matrices, as an (n_modes, 2^n, 2^n) stack."""
-    return np.array([reduce(np.kron, [_Z] * j + [_A] + [_I] * (n_modes - j - 1))
-                     for j in range(n_modes)], dtype=complex)
+    """Jordan-Wigner annihilation matrices, as an (n_modes, 2^n, 2^n) stack.
+
+    Basis state i holds mode j in bit n_modes - 1 - j, so mode 0 is the leftmost
+    Kronecker factor; c_j empties that bit with the sign of the modes before j.
+    """
+    dim = 2 ** n_modes
+    state = np.arange(dim)
+    shift = n_modes - 1 - np.arange(n_modes)
+    occupied = state >> shift[:, None] & 1  # (n_modes, dim)
+    sign = 1 - 2 * ((np.cumsum(occupied, axis=0) - occupied) % 2)
+    ops = np.zeros((n_modes, dim, dim), dtype=complex)
+    mode, col = np.nonzero(occupied)
+    ops[mode, col - (1 << shift[mode]), col] = sign[mode, col]
+    return ops
 
 
 def dagger(op):
@@ -36,24 +41,26 @@ def commutator(a, b):
 
 
 def expectation(rho, op):
-    """Normalized expectation Tr(rho op) / Tr(rho)."""
-    return np.trace(rho @ op) / np.trace(rho)
+    """Normalized expectation Tr(rho op) / Tr(rho), for one op or a (..., d, d) stack."""
+    return np.einsum("ij,...ji->...", rho, op) / np.trace(rho)
+
+
+def bilinears(left, right):
+    """The (n, n, d, d) stack of products left[a] @ right[b]."""
+    return left[:, None] @ right
 
 
 def thermal_gaussian(c_ops, h_matrix):
     """Normal Gaussian state rho ~ exp(-sum_ab h_ab c_a^dag c_b).
 
     h_matrix must be Hermitian; the state has zero anomalous contractions.
+    The exponential comes from the spectral decomposition of the Hermitian
+    many-body matrix, with the eigenvalues shifted by their minimum so that
+    no large h overflows.
     """
-    from scipy.linalg import expm
-
-    n = len(c_ops)
-    h_many = np.zeros_like(c_ops[0])
-    for a in range(n):
-        for b in range(n):
-            if h_matrix[a, b] != 0:
-                h_many += h_matrix[a, b] * dagger(c_ops[a]) @ c_ops[b]
-    rho = expm(-h_many)
+    h_many = np.tensordot(h_matrix, bilinears(dagger(c_ops), c_ops), 2)
+    energies, vectors = np.linalg.eigh(h_many)
+    rho = (vectors * np.exp(energies.min() - energies)) @ dagger(vectors)
     return rho / np.trace(rho)
 
 

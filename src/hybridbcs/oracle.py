@@ -218,57 +218,37 @@ def check_hf_trace_identity(seed=0, n_orb=4, kappa_single=None):
     # symmetry the effective couplings rely on.
     s_eff = 0.5 * (s - s.T)
 
-    h_many = np.zeros((dim, dim), dtype=complex)
-    for a in range(n_orb):
-        for b in range(n_orb):
-            h_many += t_hop[a, b] * fock.dagger(c[a]) @ c[b]
-    for a in range(n_orb):
-        for b in range(n_orb):
-            for cc in range(n_orb):
-                for d in range(n_orb):
-                    if u4[a, b, cc, d] != 0:
-                        h_many += 0.5 * u4[a, b, cc, d] * (
-                            fock.dagger(c[a]) @ fock.dagger(c[b]) @ c[cc] @ c[d])
-
-    jump = np.zeros((dim, dim), dtype=complex)
-    for a in range(n_orb):
-        for b in range(n_orb):
-            jump += s[a, b] * c[a] @ c[b]
+    cd = fock.dagger(c)
+    # (n, n, d, d) stacks of c_a^dag c_b, c_a^dag c_b^dag and c_a c_b.
+    hop, create, annihilate = (fock.bilinears(*ops) for ops in ((cd, c), (cd, cd), (c, c)))
+    # H = sum t_ab c_a^dag c_b + (1/2) sum U_abcd c_a^dag c_b^dag c_c c_d
+    h_many = (np.tensordot(t_hop, hop, 2) + 0.5 * np.tensordot(
+        create, np.tensordot(u4, annihilate, 2), ((0, 1, 3), (0, 1, 2))))
+    jump = np.tensordot(s, annihilate, 2)
 
     h1 = rng.normal(size=(n_orb, n_orb)) + 1j * rng.normal(size=(n_orb, n_orb))
     rho0 = fock.thermal_gaussian(c, 0.5 * (h1 + h1.conj().T))
     z = rng.normal(size=(3, n_orb, n_orb)) + 1j * rng.normal(size=(3, n_orb, n_orb))
-    rho_aux = (rng.normal() + 1j * rng.normal()) * np.eye(dim, dtype=complex)
-    for a in range(n_orb):
-        for b in range(n_orb):
-            rho_aux += (z[0, a, b] * fock.dagger(c[a]) @ c[b]
-                        + z[1, a, b] * fock.dagger(c[a]) @ fock.dagger(c[b])
-                        + z[2, a, b] * c[a] @ c[b])
+    rho_aux = ((rng.normal() + 1j * rng.normal()) * np.eye(dim, dtype=complex)
+               + np.tensordot(z, np.array([hop, create, annihilate]), 3))
 
     jd = fock.dagger(jump)
     lhs_gen = (-1j * fock.commutator(h_many, rho0)
                + jump @ rho0 @ jd - 0.5 * fock.anticommutator(jd @ jump, rho0))
     lhs = np.trace(rho_aux @ lhs_gen)
 
-    g = np.array([[fock.expectation(rho0, fock.dagger(c[a]) @ c[d])
-                   for d in range(n_orb)] for a in range(n_orb)])
+    g = fock.expectation(rho0, hop)  # g_ad = <c_a^dag c_d>
     v4 = u4 - u4.transpose(0, 1, 3, 2)
     heff = t_hop + np.einsum("ad,abcd->bc", g, v4)
-    h_hf = np.zeros((dim, dim), dtype=complex)
-    for b in range(n_orb):
-        for cc in range(n_orb):
-            h_hf += heff[b, cc] * fock.dagger(c[b]) @ c[cc]
+    h_hf = np.tensordot(heff, hop, 2)
 
     gamma4 = np.einsum("ba,cd->abcd", s_eff, s_eff)
     gbar = gamma4 - gamma4.transpose(0, 1, 3, 2)
     m_eff = 2.0 * np.einsum("ad,abcd->bc", g, gbar)
-    rhs_gen = -1j * fock.commutator(h_hf, rho0)
-    for b in range(n_orb):
-        for cc in range(n_orb):
-            if m_eff[b, cc] != 0:
-                rhs_gen += m_eff[b, cc] * (
-                    c[cc] @ rho0 @ fock.dagger(c[b])
-                    - 0.5 * fock.anticommutator(fock.dagger(c[b]) @ c[cc], rho0))
+    # sum_bc m_bc (c_c rho c_b^dag - (1/2) {c_b^dag c_c, rho}), with X_b = sum_c m_bc c_c
+    x = np.tensordot(m_eff, c, 1)
+    rhs_gen = (-1j * fock.commutator(h_hf, rho0) + (x @ rho0 @ cd).sum(axis=0)
+               - 0.5 * fock.anticommutator(np.tensordot(m_eff, hop, 2), rho0))
     rhs = np.trace(rho_aux @ rhs_gen)
     return abs(lhs - rhs)
 

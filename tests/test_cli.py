@@ -376,6 +376,22 @@ def test_missing_output_directory_exit_code(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
+@pytest.mark.parametrize("argv, outputs", [
+    (["run"], ["out.csv", "out.json"]),
+    (["scan", "--axis", "gamma", "--values", "0.08"],
+     ["out.csv", "out_gamma_0.08.csv", "out_gamma_0.08.json", "out_gamma_summary.csv"]),
+], ids=["run", "scan"])
+def test_output_path_naming_a_directory_exit_code(tmp_path, capsys, argv, outputs):
+    # Checked before any run: the runs used to finish, then fail to write.
+    config_path = write_config(tmp_path, base_config(tmp_path, samples=15))
+    for blocked in outputs:
+        (tmp_path / blocked).mkdir()
+        assert cli.main([*argv, "--config", config_path]) == cli.EXIT_CONFIG
+        assert "is a directory" in capsys.readouterr().err
+        (tmp_path / blocked).rmdir()
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
 def test_scan_propagates_programming_errors(tmp_path, monkeypatch):
     # Only integration and configuration failures become "failed" rows.
     def broken(job):

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -24,6 +28,10 @@ from hybridbcs.oracle import (
 
 def test_car_relations():
     c = fock.annihilation_operators(3)
+    # Jordan-Wigner by Kronecker products: Z on the modes before j, a on j.
+    lower, z, one = np.array([[0, 1], [0, 0]]), np.diag([1, -1]), np.eye(2)
+    kron = [reduce(np.kron, [z] * j + [lower] + [one] * (2 - j)) for j in range(3)]
+    assert np.array_equal(c, kron)
     eye = np.eye(8)
     for a in range(3):
         for b in range(3):
@@ -75,6 +83,40 @@ def test_thermal_gaussian_occupations():
     # No anomalous contractions in a normal Gaussian state.
     anom = fock.expectation(rho, fock.dagger(c[0]) @ fock.dagger(c[1]))
     assert abs(anom) < 1e-14
+
+
+@pytest.mark.parametrize("n_modes", [3, 4])
+def test_thermal_gaussian_matches_expm(n_modes):
+    c = fock.annihilation_operators(n_modes)
+    rng = np.random.default_rng(n_modes)
+    raw = rng.normal(size=(n_modes, n_modes)) + 1j * rng.normal(size=(n_modes, n_modes))
+    h = 0.5 * (raw + raw.conj().T)
+    h_many = sum(h[a, b] * fock.dagger(c[a]) @ c[b]
+                 for a in range(n_modes) for b in range(n_modes))
+    reference = expm(-h_many)
+    reference /= np.trace(reference)
+    assert np.max(np.abs(fock.thermal_gaussian(c, h) - reference)) < 1e-13
+
+
+def test_thermal_gaussian_survives_a_large_h():
+    # exp(-H) itself overflows here; the state is the projector on the ground state.
+    c = fock.annihilation_operators(3)
+    raw = np.random.default_rng(5).normal(size=(3, 3, 2)) @ [1.0, 1j]
+    rho = fock.thermal_gaussian(c, 1000.0 * (raw + raw.conj().T))
+    assert np.all(np.isfinite(rho))
+    assert abs(np.trace(rho) - 1.0) < 1e-13
+    assert np.max(np.abs(rho @ rho - rho)) < 1e-12
+
+
+def test_oracle_imports_no_scipy():
+    # In a child interpreter: this test process has loaded scipy already.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys; from hybridbcs import cli; code = cli.main(['oracle', '--seeds', '2']); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True, timeout=120)
+    assert child.stdout.splitlines()[-1] == "0 []"
 
 
 def test_momentum_cluster_consistency():
