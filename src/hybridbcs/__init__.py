@@ -1,7 +1,7 @@
 """Driven-dissipative BCS dynamics with a hybrid Lindblad / no-click generator."""
 
 from .lattice import BandGrid, build_flat_band, revival_time
-from .equilibrium import GapSolution, solve_gap, continuum_gap, build_ground_state
+from .equilibrium import solve_gap, continuum_gap, build_ground_state
 from .dynamics import (
     BcsState,
     SystemParams,
@@ -36,7 +36,6 @@ __all__ = [
     "BcsState",
     "BlowupError",
     "ConfigurationError",
-    "GapSolution",
     "IntegrationError",
     "NoGapSolutionError",
     "PlateauReport",

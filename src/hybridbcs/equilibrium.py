@@ -1,23 +1,9 @@
 """BCS self-consistency at zero dissipation and the initial variational state."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import BcsState
 from .errors import ConfigurationError, NoGapSolutionError
-
-
-@dataclass(frozen=True)
-class GapSolution:
-    """Solution of 1 = |U| sum_k w_k / (2 E_k) with E_k = sqrt(eps_k^2 + gap^2).
-
-    `gap` is the energy gap, |U| times the pair amplitude sum_k w_k Delta_k;
-    `residual` is |1 - |U| sum_k w_k / (2 E_k)| at that gap.
-    """
-
-    gap: float
-    residual: float
 
 
 def _gap_lhs(grid, u, gap):
@@ -26,9 +12,10 @@ def _gap_lhs(grid, u, gap):
 
 
 def solve_gap(grid, u):
-    """Solve the BCS gap equation on the grid by bisection.
+    """Gap of the BCS equation 1 = |U| sum_k w_k / (2 E_k) on the grid, by bisection.
 
-    The right-hand side |U| sum_k w_k/(2 E_k) is strictly decreasing in the
+    E_k = sqrt(eps_k^2 + gap^2), and the gap is |U| times the pair amplitude
+    sum_k w_k Delta_k. The right-hand side is strictly decreasing in the
     gap, so the root is unique when it exists. Raises NoGapSolutionError when
     the coupling is below the discrete-grid threshold.
     """
@@ -49,9 +36,7 @@ def solve_gap(grid, u):
             hi = mid
         if abs(val - 1.0) < 1e-13 and hi - lo < 1e-15 * grid.bandwidth:
             break
-    gap = 0.5 * (lo + hi)
-    residual = abs(1.0 - _gap_lhs(grid, u, gap))
-    return GapSolution(gap=gap, residual=residual)
+    return 0.5 * (lo + hi)
 
 
 def continuum_gap(bandwidth, u):
@@ -59,13 +44,12 @@ def continuum_gap(bandwidth, u):
     return bandwidth / (2.0 * np.sinh(bandwidth / u))
 
 
-def build_ground_state(grid, gap_solution):
+def build_ground_state(grid, gap):
     """Equilibrium BCS state at half filling, real positive pairing gauge.
 
     n_k = (1 - eps_k/E_k)/2, Delta_k = gap/(2 E_k); every mode has unit
     pseudospin length and the total density is n = 1 on a PH-symmetric grid.
     """
-    gap = gap_solution.gap
     e_k = np.sqrt(grid.energies ** 2 + gap ** 2)
     n_k = 0.5 * (1.0 - grid.energies / e_k)
     d_k = gap / (2.0 * e_k) + 0j

@@ -19,7 +19,6 @@ class BandGrid:
     Immutable after construction; safe to share between threads.
     """
 
-    n_modes: int
     energies: np.ndarray
     weights: np.ndarray
     bandwidth: float
@@ -29,16 +28,23 @@ class BandGrid:
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "energies", energies)
         object.__setattr__(self, "weights", weights)
-        if self.n_modes < 1 or len(energies) != self.n_modes or len(weights) != self.n_modes:
-            raise ConfigurationError("energies/weights length must equal n_modes")
-        if self.bandwidth <= 0:
-            raise ConfigurationError("bandwidth must be positive")
-        if np.any(weights <= 0):
+        if energies.ndim != 1 or weights.shape != energies.shape:
+            raise ConfigurationError("energies and weights must be 1-D and of one length")
+        # Each check below is written so that NaN fails it: every NaN comparison is false.
+        if not 0 < self.bandwidth < np.inf:
+            raise ConfigurationError("bandwidth must be positive and finite")
+        if not np.all(np.isfinite(energies)):
+            raise ConfigurationError("energies must be finite")
+        if not np.all(weights > 0):
             raise ConfigurationError("quadrature weights must be positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
+        if not abs(weights.sum() - 1.0) <= 1e-12:
             raise ConfigurationError("quadrature weights must sum to 1")
         energies.setflags(write=False)
         weights.setflags(write=False)
+
+    @property
+    def n_modes(self):
+        return len(self.energies)
 
     @cached_property
     def precession(self):
@@ -82,8 +88,7 @@ def build_flat_band(bandwidth, n_modes):
     j = np.arange(n_modes)
     energies = -bandwidth / 2 + (j + 0.5) * bandwidth / n_modes
     weights = np.full(n_modes, 1.0 / n_modes)
-    return BandGrid(n_modes=n_modes, energies=energies, weights=weights,
-                    bandwidth=float(bandwidth))
+    return BandGrid(energies=energies, weights=weights, bandwidth=float(bandwidth))
 
 
 def revival_time(grid):

@@ -63,25 +63,26 @@ def _worst(diff, n_sites):
 
 
 class MomentumCluster:
-    """L-site periodic cluster in the momentum basis with (k up, -k down) pairing.
+    """L-site periodic momentum cluster, L = 2 or 3, with (k up, -k down) pairing.
 
-    One rule fixes the Jordan-Wigner layout: pairing channel m = (m up, -m down),
-    with -m = (L - m) % L, holds modes 2m and 2m + 1. Every channel is then
-    JW-adjacent and even, so a Gaussian pair state is the Kronecker product of
-    the channels' 4 x 4 blocks. Site operators are Fourier combinations of the
-    momentum operators, as (L, d, d) stacks. observables stacks n_k (up spin),
-    then Delta_k.
+    It fixes its own band eps(k) = eps(-k) and `grid`, the uniform-weight
+    BandGrid of width 1 on it. One rule fixes the Jordan-Wigner layout: pairing
+    channel m = (m up, -m down), with -m = (L - m) % L, holds modes 2m and 2m + 1.
+    Every channel is then JW-adjacent and even, so a Gaussian pair state is the
+    Kronecker product of the channels' 4 x 4 blocks. Site operators are Fourier
+    combinations of the momentum operators, as (L, d, d) stacks. observables
+    stacks n_k (up spin), then Delta_k.
     """
 
-    def __init__(self, energies):
-        energies = np.asarray(energies, dtype=float)
-        n_sites = len(energies)
-        minus = -np.arange(n_sites) % n_sites
-        if np.any(np.abs(energies - energies[minus]) > 1e-12):
-            raise ConfigurationError("energies must satisfy eps(k) = eps(-k)")
+    def __init__(self, n_sites):
+        if n_sites not in (2, 3):
+            raise ConfigurationError("oracle supports 2 or 3 sites only")
+        energies = np.array([-0.5, 0.5] if n_sites == 2 else [0.0, 0.5, 0.5])
+        self.grid = BandGrid(energies, np.full(n_sites, 1.0 / n_sites), bandwidth=1.0)
+        self.minus = -np.arange(n_sites) % n_sites
         c = fock.annihilation_operators(2 * n_sites)
         self.dim = c.shape[-1]
-        up, down = c[0::2], c[1::2][minus]
+        up, down = c[0::2], c[1::2][self.minus]
         # c_{i sigma} = (1/sqrt(L)) sum_k exp(i k r_i) c_{k sigma}
         phases = np.exp(2j * np.pi * np.outer(np.arange(n_sites), np.arange(n_sites))
                         / n_sites) / np.sqrt(n_sites)
@@ -91,8 +92,14 @@ class MomentumCluster:
         self.kinetic = np.einsum("m,mab->ab", energies, n_up + fock.dagger(down) @ down)
         self.observables = np.concatenate([n_up, fock.dagger(up) @ fock.dagger(c[1::2])])
 
-    def gaussian_state(self, n_k, d_k):
-        return reduce(np.kron, [fock.pair_block(n, d) for n, d in zip(n_k, d_k)])
+    def random_state(self, rng):
+        """random_physical_state, with each -k mode copied from its +k partner."""
+        state = random_physical_state(rng, self.grid.n_modes)
+        plus = np.minimum(np.arange(self.grid.n_modes), self.minus)
+        return BcsState(t=0.0, n_k=state.n_k[plus], d_k=state.d_k[plus])
+
+    def gaussian_state(self, state):
+        return reduce(np.kron, [fock.pair_block(n, d) for n, d in zip(state.n_k, state.d_k)])
 
     def mean_field_hamiltonian(self, delta, u):
         """Pairing-channel mean-field Hamiltonian with instantaneous Delta.
@@ -105,10 +112,10 @@ class MomentumCluster:
         return self.kinetic + coupling * pair_sum + np.conj(coupling) * fock.dagger(pair_sum)
 
     def jump_operators(self, gamma, pump):
-        """Per-site pair-loss and pair-pump jump operators, as (losses, pumps)."""
+        """The per-site pair losses, then pair pumps, as one (K, d, d) stack."""
         losses = [np.sqrt(2.0 * gamma) * p for p in self.site_pairs if gamma > 0]
         pumps = [np.sqrt(2.0 * pump) * fock.dagger(p) for p in self.site_pairs if pump > 0]
-        return losses, pumps
+        return np.reshape(losses + pumps, (-1, self.dim, self.dim))
 
 
 @dataclass
@@ -134,39 +141,25 @@ def random_physical_state(rng, n_modes):
     return BcsState(t=0.0, n_k=n_k, d_k=mag * np.exp(1j * phase))
 
 
-def cluster_grid(n_sites):
-    """Uniform-weight grid matching an L-site cluster, eps(k) = eps(-k)."""
-    if n_sites not in (2, 3):
-        raise ConfigurationError("oracle supports 2 or 3 sites only")
-    energies = np.array([-0.5, 0.5] if n_sites == 2 else [0.0, 0.5, 0.5])
-    return BandGrid(n_modes=n_sites, energies=energies,
-                    weights=np.full(n_sites, 1.0 / n_sites), bandwidth=1.0)
-
-
 def _compare(name, tolerance, seed_base, seeds, n_sites, points, other):
     """exact_hybrid_rhs against other(args, state, params) at each (alpha, Gamma, P).
 
-    Random Gaussian states on the cluster of cluster_grid(n_sites) at U = 1; one
-    stacked comparison of all 2L observables per (seed, point), where args are
+    Random Gaussian states on MomentumCluster(n_sites) at U = 1; one stacked
+    comparison of all 2L observables per (seed, point), where args are
     exact_hybrid_rhs's (rho, hamiltonian, jumps, alpha, observables).
     """
     if seeds < 1:
         raise ConfigurationError(f"oracle needs at least one seed, got {seeds}")
-    grid = cluster_grid(n_sites)
-    cluster = MomentumCluster(grid.energies)
+    cluster = MomentumCluster(n_sites)
     results = []
     for seed in range(seeds):
-        state = random_physical_state(np.random.default_rng(seed_base + seed), n_sites)
-        if n_sites == 3:
-            # The variational manifold assumes n_k = n_{-k}, Delta_k = Delta_{-k}.
-            state.n_k[2] = state.n_k[1]
-            state.d_k[2] = state.d_k[1]
-        rho = cluster.gaussian_state(state.n_k, state.d_k)
-        h = cluster.mean_field_hamiltonian(order_parameter(state, grid), 1.0)
+        state = cluster.random_state(np.random.default_rng(seed_base + seed))
+        rho = cluster.gaussian_state(state)
+        h = cluster.mean_field_hamiltonian(order_parameter(state, cluster.grid), 1.0)
         for alpha, gamma, pump in points:
-            params = SystemParams(u=1.0, gamma=gamma, pump=pump, alpha=alpha, grid=grid)
-            losses, pumps = cluster.jump_operators(gamma, pump)
-            args = rho, h, losses + pumps, alpha, cluster.observables
+            params = SystemParams(u=1.0, gamma=gamma, pump=pump, alpha=alpha,
+                                  grid=cluster.grid)
+            args = rho, h, cluster.jump_operators(gamma, pump), alpha, cluster.observables
             diff = exact_hybrid_rhs(*args) - other(args, state, params)
             res, detail = _worst(diff, n_sites)
             results.append((res, f"seed={seed} {detail} alpha={alpha} "
@@ -209,7 +202,7 @@ def check_hf_trace_identity(seed=0, n_orb=4, kappa_single=None):
     if kappa_single is not None:
         a0, b0, val = kappa_single
         kappa = np.zeros((n_orb, n_orb))
-        kappa[a0, b0] = kappa[b0, a0] = val
+        kappa[a0, b0] = val
     else:
         kappa = rng.uniform(0.0, 1.0, size=(n_orb, n_orb))
     s = np.sqrt(kappa)
@@ -256,7 +249,7 @@ def check_hf_trace_identity(seed=0, n_orb=4, kappa_single=None):
 def run_hf_suite(seeds=10):
     results = [(_residual(check_hf_trace_identity(seed=seed)), f"seed={seed}")
                for seed in range(seeds)]
-    # Single symmetric kappa entry: the antisymmetrization is nontrivial.
+    # One kappa entry, so s_eff = (s - s.T)/2 != 0; a symmetric kappa kills the jump.
     results.append((_residual(check_hf_trace_identity(seed=99, kappa_single=(0, 2, 0.7))),
                     "kappa_single"))
     return _report("hf-trace-identity", 1e-12, results)

@@ -105,7 +105,7 @@ def test_criterion_1_oracle(record_criterion):
 
 def test_criterion_2_equilibrium(record_criterion):
     grid_fine = build_flat_band(1.0, 4096)
-    gap_errors = [abs(solve_gap(grid_fine, u).gap - continuum_gap(1.0, u))
+    gap_errors = [abs(solve_gap(grid_fine, u) - continuum_gap(1.0, u))
                   for u in (0.5, 1.0)]
 
     grid = build_flat_band(1.0, 512)

@@ -15,8 +15,7 @@ from hybridbcs.lattice import BandGrid, build_flat_band
 
 
 def single_mode_grid():
-    return BandGrid(n_modes=1, energies=np.array([0.0]),
-                    weights=np.array([1.0]), bandwidth=1.0)
+    return BandGrid(energies=np.array([0.0]), weights=np.array([1.0]), bandwidth=1.0)
 
 
 def random_state(rng, n_modes, pure=False, margin=0.95):
@@ -148,7 +147,7 @@ def test_rhs_matches_term_by_term_reference():
     rng = np.random.default_rng(8)
     m = 24
     weights = rng.uniform(0.2, 1.0, m)
-    grid = BandGrid(n_modes=m, energies=np.sort(rng.uniform(-0.5, 0.5, m)),
+    grid = BandGrid(energies=np.sort(rng.uniform(-0.5, 0.5, m)),
                     weights=weights / weights.sum(), bandwidth=1.0)
     worst = 0.0
     for alpha in (0.0, 0.37, 1.0):

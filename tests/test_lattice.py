@@ -7,6 +7,7 @@ from hybridbcs.lattice import BandGrid, build_flat_band, revival_time
 
 def test_flat_band_weights_sum_to_one():
     grid = build_flat_band(1.0, 128)
+    assert grid.n_modes == 128
     assert abs(grid.weights.sum() - 1.0) < 1e-14
 
 
@@ -39,15 +40,26 @@ def test_flat_band_rejects_odd_or_small():
 
 
 def test_grid_validation():
-    with pytest.raises(ConfigurationError):
-        BandGrid(n_modes=2, energies=np.array([0.0]), weights=np.array([1.0]),
-                 bandwidth=1.0)
-    with pytest.raises(ConfigurationError):
-        BandGrid(n_modes=2, energies=np.array([-0.25, 0.25]),
-                 weights=np.array([0.7, 0.7]), bandwidth=1.0)
-    with pytest.raises(ConfigurationError):
-        BandGrid(n_modes=2, energies=np.array([-0.25, 0.25]),
-                 weights=np.array([1.0, 0.0]), bandwidth=1.0)
+    nan, inf = np.nan, np.inf
+    good = ([-0.25, 0.25], [0.5, 0.5], 1.0)
+    assert BandGrid(*good).n_modes == 2
+    bad = [
+        ([0.0], [0.5, 0.5], 1.0),
+        ([-0.25, 0.25], [0.7, 0.7], 1.0),
+        ([-0.25, 0.25], [1.0, 0.0], 1.0),
+        ([], [], 1.0),
+        # Non-finite values, which fail no `<` or `>` comparison.
+        ([nan, 0.5], [nan, 0.5], 1.0),
+        ([nan, 0.5], [0.5, 0.5], 1.0),
+        ([inf, 0.5], [0.5, 0.5], 1.0),
+        ([-0.25, 0.25], [nan, 0.5], 1.0),
+        ([-0.25, 0.25], [inf, 0.5], 1.0),
+        ([-0.25, 0.25], [0.5, 0.5], nan),
+        ([-0.25, 0.25], [0.5, 0.5], inf),
+    ]
+    for energies, weights, bandwidth in bad:
+        with pytest.raises(ConfigurationError):
+            BandGrid(np.array(energies), np.array(weights), bandwidth)
 
 
 def test_grid_arrays_read_only():
@@ -64,8 +76,8 @@ def test_ph_partner_indices():
 
 
 def test_ph_partner_rejects_asymmetric_grid():
-    grid = BandGrid(n_modes=2, energies=np.array([-0.3, 0.5]),
-                    weights=np.array([0.5, 0.5]), bandwidth=1.0)
+    grid = BandGrid(energies=np.array([-0.3, 0.5]), weights=np.array([0.5, 0.5]),
+                    bandwidth=1.0)
     with pytest.raises(ConfigurationError):
         grid.ph_partner_indices()
 

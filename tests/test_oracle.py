@@ -14,7 +14,6 @@ from hybridbcs.dynamics import _split
 from hybridbcs.errors import ConfigurationError
 from hybridbcs.oracle import (
     MomentumCluster,
-    cluster_grid,
     exact_hybrid_rhs,
     propagated_rhs,
     random_physical_state,
@@ -120,10 +119,10 @@ def test_oracle_imports_no_scipy():
 
 
 def test_momentum_cluster_consistency():
-    cluster = MomentumCluster([-0.4, 0.4])
+    cluster = MomentumCluster(2)
     rng = np.random.default_rng(11)
     state = random_physical_state(rng, 2)
-    rho = cluster.gaussian_state(state.n_k, state.d_k)
+    rho = cluster.gaussian_state(state)
     # Total site occupation equals total momentum occupation.
     n_site = sum(fock.expectation(rho, fock.dagger(op) @ op)
                  for ops in (cluster.site_up, cluster.site_down) for op in ops)
@@ -138,25 +137,31 @@ def test_momentum_cluster_consistency():
 @pytest.mark.parametrize("n_sites", [2, 3])
 def test_gaussian_state_carries_its_moments(n_sites):
     # Channel m holds (m up, -m down); on 3 sites channel 1 pairs momenta 1 and 2.
-    grid = cluster_grid(n_sites)
-    cluster = MomentumCluster(grid.energies)
-    state = random_physical_state(np.random.default_rng(41), n_sites)
-    if n_sites == 3:
-        state.n_k[2] = state.n_k[1]
-        state.d_k[2] = state.d_k[1]
-    rho = cluster.gaussian_state(state.n_k, state.d_k)
+    cluster = MomentumCluster(n_sites)
+    state = cluster.random_state(np.random.default_rng(41))
+    rho = cluster.gaussian_state(state)
     moments = np.einsum("ij,kji->k", rho, cluster.observables) / np.trace(rho)
     expected = np.concatenate([state.n_k, state.d_k])
     assert np.max(np.abs(moments - expected)) < 1e-13
 
 
-def test_momentum_cluster_rejects_asymmetric_energies():
-    with pytest.raises(ConfigurationError):
-        MomentumCluster([0.0, 0.3, 0.5])
+@pytest.mark.parametrize("n_sites", [2, 3])
+def test_random_state_is_even_in_k(n_sites):
+    cluster = MomentumCluster(n_sites)
+    state = cluster.random_state(np.random.default_rng(17))
+    minus = -np.arange(n_sites) % n_sites
+    assert np.array_equal(state.n_k[minus], state.n_k)
+    assert np.array_equal(state.d_k[minus], state.d_k)
+    # The same draws as random_physical_state, with mode 2 (k = -1 on three
+    # sites) taking the values of mode 1.
+    drawn = random_physical_state(np.random.default_rng(17), n_sites)
+    keep = [0, 1, 1][:n_sites]
+    assert np.array_equal(state.n_k, drawn.n_k[keep])
+    assert np.array_equal(state.d_k, drawn.d_k[keep])
 
 
 def test_exact_rhs_dimension_mismatch():
-    cluster = MomentumCluster([-0.4, 0.4])
+    cluster = MomentumCluster(2)
     rho = np.eye(cluster.dim) / cluster.dim
     with pytest.raises(ConfigurationError):
         exact_hybrid_rhs(rho, np.eye(4), [], 1.0, cluster.observables[0])
@@ -168,16 +173,16 @@ def test_exact_rhs_dimension_mismatch():
 
 @pytest.mark.parametrize("n_sites", [2, 3])
 def test_exact_rhs_stack_matches_single_observables(n_sites):
-    cluster = MomentumCluster(cluster_grid(n_sites).energies)
+    cluster = MomentumCluster(n_sites)
     state = random_physical_state(np.random.default_rng(21), n_sites)
-    rho = cluster.gaussian_state(state.n_k, state.d_k)
+    rho = cluster.gaussian_state(state)
     h = cluster.mean_field_hamiltonian(np.mean(state.d_k), 1.0)
     singles = [cluster.observables[j] for j in range(2 * n_sites)]
     for gamma, pump in ((0.0, 0.0), (0.3, 0.0), (0.3, 0.25)):
-        losses, pumps = cluster.jump_operators(gamma, pump)
+        jumps = cluster.jump_operators(gamma, pump)
         for alpha in (0.0, 0.5, 1.0):
-            stacked = exact_hybrid_rhs(rho, h, losses + pumps, alpha, cluster.observables)
-            one_by_one = [exact_hybrid_rhs(rho, h, losses + pumps, alpha, op)
+            stacked = exact_hybrid_rhs(rho, h, jumps, alpha, cluster.observables)
+            one_by_one = [exact_hybrid_rhs(rho, h, jumps, alpha, op)
                           for op in singles]
             assert stacked.shape == (2 * n_sites,)
             assert np.max(np.abs(stacked - one_by_one)) <= 1e-14, (gamma, pump, alpha)
@@ -185,16 +190,16 @@ def test_exact_rhs_stack_matches_single_observables(n_sites):
 
 def test_exact_rhs_lindblad_trace_preserved():
     # At alpha = 1 the identity observable has zero derivative.
-    cluster = MomentumCluster([-0.4, 0.4])
+    cluster = MomentumCluster(2)
     rng = np.random.default_rng(5)
     state = random_physical_state(rng, 2)
-    rho = cluster.gaussian_state(state.n_k, state.d_k)
+    rho = cluster.gaussian_state(state)
     h = cluster.mean_field_hamiltonian(np.mean(state.d_k), 1.0)
-    losses, pumps = cluster.jump_operators(0.3, 0.2)
-    val = exact_hybrid_rhs(rho, h, losses + pumps, 1.0, np.eye(cluster.dim))
+    jumps = cluster.jump_operators(0.3, 0.2)
+    val = exact_hybrid_rhs(rho, h, jumps, 1.0, np.eye(cluster.dim))
     assert abs(val) < 1e-13
     # And for any alpha: normalization makes <1> constant by construction.
-    val = exact_hybrid_rhs(rho, h, losses + pumps, 0.3, np.eye(cluster.dim))
+    val = exact_hybrid_rhs(rho, h, jumps, 0.3, np.eye(cluster.dim))
     assert abs(val) < 1e-13
 
 
@@ -303,15 +308,15 @@ def test_norm_conserving_suite_catches_reference_mutations(monkeypatch, mutation
 def test_propagated_rhs_matches_the_propagator():
     # The derivative of Tr(e^{tL} rho O) / Tr(e^{tL} rho) from a fourth-order
     # central difference of the dense propagator of the 256 x 256 Liouvillian.
-    cluster = MomentumCluster([-0.4, 0.4])
+    cluster = MomentumCluster(2)
     state = random_physical_state(np.random.default_rng(31), 2)
-    rho = cluster.gaussian_state(state.n_k, state.d_k)
+    rho = cluster.gaussian_state(state)
     h = cluster.mean_field_hamiltonian(np.mean(state.d_k), 1.0)
-    losses, pumps = cluster.jump_operators(0.3, 0.2)
+    jumps = cluster.jump_operators(0.3, 0.2)
     basis = np.eye(cluster.dim ** 2).reshape(-1, cluster.dim, cluster.dim)
     obs = cluster.observables
     for alpha in (0.0, 0.5, 1.0):
-        columns = [oracle._hybrid_liouvillian(e, h, losses + pumps, alpha).ravel()
+        columns = [oracle._hybrid_liouvillian(e, h, jumps, alpha).ravel()
                    for e in basis]
         superop = np.array(columns).T
 
@@ -321,7 +326,7 @@ def test_propagated_rhs_matches_the_propagator():
 
         dt = 1e-3
         fd = (8.0 * (value(dt) - value(-dt)) - (value(2 * dt) - value(-2 * dt))) / (12 * dt)
-        exact = propagated_rhs(rho, h, losses + pumps, alpha, obs)
+        exact = propagated_rhs(rho, h, jumps, alpha, obs)
         assert np.max(np.abs(fd - exact)) < 1e-9, alpha
 
 
@@ -351,13 +356,29 @@ def test_run_all_checks():
             suite(seeds=0)
 
 
-def test_cluster_grid_shapes():
+def test_momentum_cluster_owns_its_grid():
     for n_sites in (2, 3):
-        grid = cluster_grid(n_sites)
-        assert grid.n_modes == n_sites
-        assert abs(grid.weights.sum() - 1.0) < 1e-15
-    with pytest.raises(ConfigurationError):
-        cluster_grid(4)
+        cluster = MomentumCluster(n_sites)
+        assert cluster.grid.n_modes == n_sites
+        assert abs(cluster.grid.weights.sum() - 1.0) < 1e-15
+        assert cluster.observables.shape == (2 * n_sites, cluster.dim, cluster.dim)
+    for n_sites in (1, 4, 5):
+        with pytest.raises(ConfigurationError):
+            MomentumCluster(n_sites)
+
+
+def test_no_jumps_is_an_empty_stack():
+    cluster = MomentumCluster(2)
+    state = cluster.random_state(np.random.default_rng(3))
+    rho = cluster.gaussian_state(state)
+    h = cluster.mean_field_hamiltonian(np.mean(state.d_k), 1.0)
+    jumps = cluster.jump_operators(0.0, 0.0)
+    assert jumps.shape == (0, cluster.dim, cluster.dim)
+    for alpha in (0.0, 0.5, 1.0):
+        exact = exact_hybrid_rhs(rho, h, jumps, alpha, cluster.observables)
+        propagated = propagated_rhs(rho, h, jumps, alpha, cluster.observables)
+        assert exact.shape == propagated.shape == (4,)
+        assert np.max(np.abs(exact - propagated)) < 1e-13
 
 
 def test_report_formatting():
