@@ -47,55 +47,46 @@ _SCHEMA = {
 _INT_MAX = int(np.iinfo(np.intp).max) // 384
 
 
-def validate_config(raw):
-    """Type-check a config dict; unknown keys are rejected with their path."""
+def resolve_config(raw):
+    """The fully explicit config: one pass over _SCHEMA checks each key and fills defaults."""
     if not isinstance(raw, dict):
         raise ConfigurationError("config root must be a JSON object")
-    for section, content in raw.items():
+    for section in raw:
         if section not in _SCHEMA:
             raise ConfigurationError(f"unknown config key: {section}")
+    cfg = {}
+    for section, keys in _SCHEMA.items():
+        content = raw.get(section, {})
         if not isinstance(content, dict):
             raise ConfigurationError(f"section {section} must be an object")
-        for key, value in content.items():
-            if key not in _SCHEMA[section]:
+        for key in content:
+            if key not in keys:
                 raise ConfigurationError(f"unknown config key: {section}.{key}")
-            expected = _SCHEMA[section][key][0]
+        resolved = cfg[section] = {}
+        for key, (expected, *default) in keys.items():
+            if key not in content and not default:
+                raise ConfigurationError(f"missing config key: {section}.{key}")
+            value = resolved[key] = content[key] if key in content else copy.copy(default[0])
+            name = f"config key {section}.{key}"
             # type() rather than isinstance(), which would let bools in; the bound
             # rejects NaN, inf and an int too large for a float (isfinite raises).
             if expected is float and type(value) in (int, float):
                 if not abs(value) <= sys.float_info.max:
-                    raise ConfigurationError(f"config key {section}.{key} must be finite")
-                continue
-            if not isinstance(value, expected) or isinstance(value, bool):
-                raise ConfigurationError(
-                    f"config key {section}.{key} must be {expected.__name__}")
-            if expected is int and value > _INT_MAX:
-                raise ConfigurationError(
-                    f"config key {section}.{key} must be at most {_INT_MAX}")
-            if expected is list and not all(
+                    raise ConfigurationError(f"{name} must be finite")
+            elif not isinstance(value, expected) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be {expected.__name__}")
+            elif expected is int and value > _INT_MAX:
+                raise ConfigurationError(f"{name} must be at most {_INT_MAX}")
+            elif expected is list and not all(
                     type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value):
-                raise ConfigurationError(
-                    f"config key {section}.{key} must hold finite numbers")
-    for section, keys in _SCHEMA.items():
-        for key, spec in keys.items():
-            if len(spec) == 1 and section not in raw:
-                raise ConfigurationError(f"missing config section: {section}")
-            if len(spec) == 1 and key not in raw[section]:
-                raise ConfigurationError(f"missing config key: {section}.{key}")
-    if raw["time"]["spacing"] not in ("log", "linear"):
+                raise ConfigurationError(f"{name} must hold finite numbers")
+    if cfg["time"]["spacing"] not in ("log", "linear"):
         raise ConfigurationError("config key time.spacing must be 'log' or 'linear'")
-    if not raw["time"]["t_max_w"] > 0:
+    if not cfg["time"]["t_max_w"] > 0:
         raise ConfigurationError("config key time.t_max_w must be positive")
-    if raw["time"]["samples"] < 2:
+    if cfg["time"]["samples"] < 2:
         raise ConfigurationError("config key time.samples must be at least 2")
-
-
-def resolve_config(raw):
-    """Validate and fill defaults; returns a fully explicit config dict."""
-    validate_config(raw)
-    return {section: {**{key: copy.copy(spec[1]) for key, spec in keys.items() if len(spec) > 1},
-                      **raw.get(section, {})}
-            for section, keys in _SCHEMA.items()}
+    return cfg
 
 
 def grid_checksum(grid):
@@ -148,14 +139,19 @@ def write_sidecar(path, cfg, grid, series):
         handle.write("\n")
 
 
+def run_outputs(path):
+    """The files a run with output.path `path` writes: its CSV and its .json sidecar."""
+    return path, os.path.splitext(path)[0] + ".json"
+
+
 def execute_run(cfg):
     """One full run from a resolved config into its output.path; returns the TimeSeries."""
     grid, params, protocol, initial = assemble(cfg)
     integ = cfg["integrator"]
     series = run_protocol(initial, params, protocol, rtol=integ["rtol"], atol=integ["atol"])
-    path = cfg["output"]["path"]
-    write_csv(path, series)
-    write_sidecar(os.path.splitext(path)[0] + ".json", cfg, grid, series)
+    csv_path, sidecar_path = run_outputs(cfg["output"]["path"])
+    write_csv(csv_path, series)
+    write_sidecar(sidecar_path, cfg, grid, series)
     return series
 
 
@@ -167,24 +163,33 @@ def _load_config(path):
         raise ConfigurationError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}")
-    cfg = resolve_config(raw)
-    # Every output goes next to output.path: fail before the runs, not after.
-    directory = os.path.dirname(cfg["output"]["path"]) or "."
-    if not os.path.isdir(directory):
-        raise ConfigurationError(f"output directory {directory} does not exist")
-    _check_output(cfg["output"]["path"])
-    return cfg
+    return resolve_config(raw)
 
 
-def _check_output(path):
-    """Reject a run output whose CSV or .json sidecar path names a directory."""
-    for target in (path, os.path.splitext(path)[0] + ".json"):
-        if os.path.isdir(target):
-            raise ConfigurationError(f"output path {target} is a directory")
+def _check_outputs(config_path, paths):
+    """Check, before any run, every file a command will write.
+
+    Each must lie in an existing directory, and be no directory, not the
+    config and not a file that another of `paths` also writes.
+    """
+    config, written = os.path.realpath(config_path), set()
+    for path in paths:
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise ConfigurationError(f"output directory {directory} does not exist")
+        if os.path.isdir(path):
+            raise ConfigurationError(f"output path {path} is a directory")
+        real = os.path.realpath(path)
+        if real == config:
+            raise ConfigurationError(f"output path {path} would overwrite the config")
+        if real in written:
+            raise ConfigurationError(f"two outputs would both write {path}")
+        written.add(real)
 
 
 def cmd_run(args):
     cfg = _load_config(args.config)
+    _check_outputs(args.config, run_outputs(cfg["output"]["path"]))
     series = execute_run(cfg)
     print(f"wrote {cfg['output']['path']} ({len(series.t)} samples)")
     return 0
@@ -241,22 +246,15 @@ def cmd_scan(args):
 
     root, ext = os.path.splitext(cfg["output"]["path"])
     ext = ext or ".csv"
-    jobs, writers = [], {}
+    jobs = []
     for value in values:
-        path = f"{root}_{args.axis}_{value:g}{ext}"
-        if path in writers:
-            raise ConfigurationError(
-                f"scan values {writers[path]!r} and {value!r} would both write {path}")
-        writers[path] = value
-        _check_output(path)
         run_cfg = copy.deepcopy(cfg)
         run_cfg[section][key] = value
-        run_cfg["output"]["path"] = path
+        run_cfg["output"]["path"] = f"{root}_{args.axis}_{value:g}{ext}"
         jobs.append(run_cfg)
-
     summary = f"{root}_{args.axis}_summary{ext}"
-    if os.path.isdir(summary):
-        raise ConfigurationError(f"output path {summary} is a directory")
+    _check_outputs(args.config, [*(path for job in jobs for path in run_outputs(
+        job["output"]["path"])), summary])
 
     with nullcontext() if args.workers == 1 else ProcessPoolExecutor(args.workers) as pool:
         rows = [[f"{value:g}", job["output"]["path"], *row] for value, job, row

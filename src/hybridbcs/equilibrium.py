@@ -19,8 +19,8 @@ def solve_gap(grid, u):
     gap, so the root is unique when it exists. Raises NoGapSolutionError when
     the coupling is below the discrete-grid threshold.
     """
-    if u <= 0:
-        raise ConfigurationError("attraction strength u must be positive")
+    if not 0 < u < np.inf:
+        raise ConfigurationError("attraction strength u must be positive and finite")
     if _gap_lhs(grid, u, 0.0) < 1.0:
         raise NoGapSolutionError(
             "coupling below the discrete-grid threshold: |U| sum_k w_k/(2|eps_k|) < 1")

@@ -278,6 +278,8 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12):
             "increase n_modes")
 
     modes = np.array(protocol.record_modes, dtype=int)
+    if not np.all((modes >= 0) & (modes < grid.n_modes)):
+        raise ConfigurationError(f"record_modes must lie in [0, {grid.n_modes})")
     n_samples, n_tracked = len(protocol.sample_times), len(modes)
     series = TimeSeries(
         t=protocol.sample_times.copy(), n=np.empty(n_samples),

@@ -81,8 +81,6 @@ def build_flat_band(bandwidth, n_modes):
     the grid is exactly particle-hole symmetric; no mode sits at eps = 0 or
     at the band edges.
     """
-    if bandwidth <= 0:
-        raise ConfigurationError("bandwidth must be positive")
     if n_modes < 2 or n_modes % 2 != 0:
         raise ConfigurationError("n_modes must be an even integer >= 2")
     j = np.arange(n_modes)

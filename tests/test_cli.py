@@ -43,39 +43,39 @@ def test_validate_rejects_unknown_keys(tmp_path):
     cfg = base_config(tmp_path)
     cfg["band"]["wdith"] = 1.0
     with pytest.raises(ConfigurationError, match="band.wdith"):
-        cli.validate_config(cfg)
+        cli.resolve_config(cfg)
     cfg = base_config(tmp_path)
     cfg["nonsense"] = {}
     with pytest.raises(ConfigurationError, match="nonsense"):
-        cli.validate_config(cfg)
+        cli.resolve_config(cfg)
 
 
 def test_validate_rejects_wrong_types(tmp_path):
     cfg = base_config(tmp_path)
     cfg["band"]["n_modes"] = 64.5
     with pytest.raises(ConfigurationError, match="band.n_modes"):
-        cli.validate_config(cfg)
+        cli.resolve_config(cfg)
     cfg = base_config(tmp_path)
     cfg["dissipation"]["alpha"] = True
     with pytest.raises(ConfigurationError, match="dissipation.alpha"):
-        cli.validate_config(cfg)
+        cli.resolve_config(cfg)
     cfg = base_config(tmp_path)
     cfg["time"]["spacing"] = "cubic"
     with pytest.raises(ConfigurationError, match="spacing"):
-        cli.validate_config(cfg)
+        cli.resolve_config(cfg)
     # Non-finite, or an integer no float can hold (JSON integers are unbounded).
     for section, key, value in (("integrator", "rtol", float("inf")),
                                 ("interaction", "u_over_w", 10 ** 400)):
         cfg = base_config(tmp_path)
         cfg.setdefault(section, {})[key] = value
         with pytest.raises(ConfigurationError, match=f"{section}.{key} must be finite"):
-            cli.validate_config(cfg)
+            cli.resolve_config(cfg)
         assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
     # The last sample time ends the run; there is no step cap to set.
     cfg = base_config(tmp_path)
     cfg["integrator"] = {"max_step_w": 1.0}
     with pytest.raises(ConfigurationError, match="unknown config key: integrator.max_step_w"):
-        cli.validate_config(cfg)
+        cli.resolve_config(cfg)
     assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
 
 
@@ -86,7 +86,7 @@ def test_validate_rejects_bad_track_energies(tmp_path):
         cfg = base_config(tmp_path)
         cfg["output"]["track_energies"] = bad
         with pytest.raises(ConfigurationError, match="output.track_energies"):
-            cli.validate_config(cfg)
+            cli.resolve_config(cfg)
         assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
     assert not (tmp_path / "out.csv").exists()
     assert not (tmp_path / "out.json").exists()
@@ -100,7 +100,7 @@ def test_validate_rejects_bad_time_axis(tmp_path):
                                 ("samples", 1, "time.samples must be at least 2")):
         cfg = base_config(tmp_path, **{key: value})
         with pytest.raises(ConfigurationError, match=message):
-            cli.validate_config(cfg)
+            cli.resolve_config(cfg)
         assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
     assert not (tmp_path / "out.csv").exists()
     assert not (tmp_path / "out.json").exists()
@@ -120,24 +120,24 @@ def test_validate_rejects_integers_numpy_cannot_size(tmp_path):
         cfg = base_config(tmp_path)
         cfg[section][key] = value
         with pytest.raises(ConfigurationError, match=f"{section}.{key} must be at most"):
-            cli.validate_config(cfg)
+            cli.resolve_config(cfg)
         assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
     assert not (tmp_path / "out.csv").exists()
     assert not (tmp_path / "out.json").exists()
     cfg = base_config(tmp_path)
     cfg["band"]["n_modes"] = cfg["time"]["samples"] = bound
-    cli.validate_config(cfg)
+    cli.resolve_config(cfg)
 
 
 def test_validate_rejects_missing_sections(tmp_path):
     cfg = base_config(tmp_path)
     del cfg["interaction"]
     with pytest.raises(ConfigurationError, match="interaction"):
-        cli.validate_config(cfg)
+        cli.resolve_config(cfg)
     cfg = base_config(tmp_path)
     del cfg["time"]["samples"]
     with pytest.raises(ConfigurationError, match="time.samples"):
-        cli.validate_config(cfg)
+        cli.resolve_config(cfg)
 
 
 def test_resolve_fills_defaults(tmp_path):
@@ -191,10 +191,19 @@ def test_run_reproduces_from_sidecar(tmp_path):
         sidecar = json.load(handle)
     replay = sidecar["config"]
     replay["output"]["path"] = str(tmp_path / "replay.csv")
-    # The sidecar holds the resolved config, integrator defaults included.
-    replay_path = write_config(tmp_path, replay, "replay.json")
+    # The sidecar holds the resolved config, integrator defaults included. The
+    # replay's own sidecar is replay.json, so its config needs another name.
+    replay_path = write_config(tmp_path, replay, "replay_config.json")
     assert cli.main(["run", "--config", replay_path]) == 0
     assert (tmp_path / "replay.csv").read_bytes() == first
+
+
+def test_run_linear_spacing_sample_times(tmp_path):
+    # "linear" samples linspace(t_max / samples, t_max, samples).
+    cfg = base_config(tmp_path, t_max_w=5.0, samples=5, spacing="linear")
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    header, data = read_csv(tmp_path / "out.csv")
+    assert data[:, header.index("t_w")].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_run_bad_config_exit_code(tmp_path, capsys):
@@ -379,7 +388,7 @@ def test_missing_output_directory_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("argv, outputs", [
     (["run"], ["out.csv", "out.json"]),
     (["scan", "--axis", "gamma", "--values", "0.08"],
-     ["out.csv", "out_gamma_0.08.csv", "out_gamma_0.08.json", "out_gamma_summary.csv"]),
+     ["out_gamma_0.08.csv", "out_gamma_0.08.json", "out_gamma_summary.csv"]),
 ], ids=["run", "scan"])
 def test_output_path_naming_a_directory_exit_code(tmp_path, capsys, argv, outputs):
     # Checked before any run: the runs used to finish, then fail to write.
@@ -390,6 +399,29 @@ def test_output_path_naming_a_directory_exit_code(tmp_path, capsys, argv, output
         assert "is a directory" in capsys.readouterr().err
         (tmp_path / blocked).rmdir()
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize("argv, config_name, output, message", [
+    (["run"], "config.json", "out.json", "would both write"),
+    (["run"], "replay.json", "replay.csv", "would overwrite the config"),
+    (["scan", "--axis", "gamma", "--values", "0.08,0.16"], "config.json", "out.json",
+     "would both write"),
+    (["scan", "--axis", "gamma", "--values", "0.08"], "x_gamma_0.08.json", "x.csv",
+     "would overwrite the config"),
+], ids=["run-csv-is-sidecar", "run-sidecar-is-config", "scan-csv-is-sidecar",
+        "scan-sidecar-is-config"])
+def test_output_overwriting_an_output_or_the_config_exit_code(
+        tmp_path, capsys, argv, config_name, output, message):
+    # Checked before any run: otherwise a run's sidecar replaces its own CSV, or
+    # the config it was started from, and the command still exits 0.
+    cfg = base_config(tmp_path, samples=15)
+    cfg["output"]["path"] = str(tmp_path / output)
+    config_path = write_config(tmp_path, cfg, config_name)
+    before = (tmp_path / config_name).read_bytes()
+    assert cli.main([*argv, "--config", config_path]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == [config_name]
+    assert (tmp_path / config_name).read_bytes() == before
 
 
 def test_scan_propagates_programming_errors(tmp_path, monkeypatch):

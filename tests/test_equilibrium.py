@@ -47,8 +47,11 @@ def test_no_solution_below_threshold():
 
 def test_invalid_coupling():
     grid = build_flat_band(1.0, 8)
-    with pytest.raises(ConfigurationError):
-        solve_gap(grid, 0.0)
+    # NaN fails every comparison and inf never ends the bracketing loop, so
+    # the check must bound u on both sides.
+    for u in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigurationError):
+            solve_gap(grid, u)
 
 
 def test_ground_state_half_filling_and_unit_length():

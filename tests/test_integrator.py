@@ -38,6 +38,12 @@ def test_protocol_validation():
     with pytest.raises(ConfigurationError, match="precedes"):
         run_protocol(late, params,
                      Protocol(sample_times=np.array([1.0, 6.0, 8.0])))
+    # A mode outside [0, M) would be recorded under another mode's name, or
+    # raise IndexError: numpy reads index -1 as mode M - 1.
+    for modes in ((-1,), (8,), (3, 8)):
+        with pytest.raises(ConfigurationError, match="record_modes"):
+            run_protocol(ground, params, Protocol(sample_times=np.array([1.0]),
+                                                  record_modes=modes))
 
 
 def test_fixed_step_order():
