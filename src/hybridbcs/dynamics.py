@@ -182,9 +182,12 @@ def rhs_total(state, params):
 def particle_hole_transform(state, grid):
     """Map n_k -> 1 - n_k, Delta_k -> -Delta_k* with eps_k -> -eps_k relabeling.
 
-    Exchanges the roles of losses and pumps; requires a PH-symmetric grid.
+    Exchanges losses and pumps; mode k pairs with mode M-1-k on a mirror-image grid.
     """
-    partner = grid.ph_partner_indices()
-    n_k = 1.0 - state.n_k[partner]
-    d_k = -np.conj(state.d_k[partner])
+    eps, w = grid.energies, grid.weights
+    if not (np.allclose(eps[::-1], -eps, atol=1e-12 * grid.bandwidth, rtol=0)
+            and np.allclose(w[::-1], w, atol=1e-14, rtol=0)):
+        raise ConfigurationError("grid is not its own particle-hole mirror")
+    n_k = 1.0 - state.n_k[::-1]
+    d_k = -np.conj(state.d_k[::-1])
     return BcsState(t=state.t, n_k=n_k, d_k=d_k)

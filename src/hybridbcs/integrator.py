@@ -99,6 +99,7 @@ _K_P = 0.4 / 8.0
 # included; converged runs take about 10 per unit W t at rtol 1e-12.
 _BUDGET_BASE = 1000
 _BUDGET_PER_WT = 100
+_RTOL_FLOOR = 10 * np.finfo(float).eps  # dop853's floor: doubles cannot meet a smaller rtol
 
 
 class AdaptiveStepper:
@@ -115,8 +116,10 @@ class AdaptiveStepper:
     """
 
     def __init__(self, params, initial, t_end, rtol, atol):
-        if rtol <= 0 or atol <= 0:
+        if not (rtol > 0 and atol > 0):
             raise ConfigurationError("rtol and atol must be positive")
+        if rtol <= _RTOL_FLOOR:
+            raise ConfigurationError(f"rtol must exceed {_RTOL_FLOOR:.1e}, 10 machine epsilons")
         self.params = params
         self.t_end = t_end
         self.rtol = rtol

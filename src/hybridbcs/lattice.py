@@ -53,22 +53,6 @@ class BandGrid:
         rates.setflags(write=False)
         return rates
 
-    def ph_partner_indices(self):
-        """Index array j' with eps_{j'} = -eps_j and w_{j'} = w_j.
-
-        Raises ConfigurationError if the grid is not particle-hole symmetric.
-        """
-        order = np.argsort(self.energies, kind="stable")
-        rev = np.argsort(-self.energies, kind="stable")
-        partner = np.empty(self.n_modes, dtype=int)
-        partner[order] = rev
-        tol = 1e-12 * self.bandwidth
-        if not np.allclose(self.energies[partner], -self.energies, atol=tol, rtol=0):
-            raise ConfigurationError("grid is not particle-hole symmetric")
-        if not np.allclose(self.weights[partner], self.weights, atol=1e-14, rtol=0):
-            raise ConfigurationError("grid weights are not particle-hole symmetric")
-        return partner
-
     def nearest_mode(self, energy):
         """Index of the grid mode closest to the requested energy."""
         return int(np.argmin(np.abs(self.energies - energy)))
@@ -84,7 +68,7 @@ def build_flat_band(bandwidth, n_modes):
     if n_modes < 2 or n_modes % 2 != 0:
         raise ConfigurationError("n_modes must be an even integer >= 2")
     j = np.arange(n_modes)
-    energies = -bandwidth / 2 + (j + 0.5) * bandwidth / n_modes
+    energies = bandwidth * ((j + 0.5) / n_modes - 0.5)
     weights = np.full(n_modes, 1.0 / n_modes)
     return BandGrid(energies=energies, weights=weights, bandwidth=float(bandwidth))
 

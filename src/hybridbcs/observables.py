@@ -34,10 +34,10 @@ def fit_power_law(t, y, window):
     if np.count_nonzero(mask) < _MIN_FIT_SAMPLES:
         raise ConfigurationError(
             f"fewer than {_MIN_FIT_SAMPLES} samples in window ({t_lo}, {t_hi})")
-    if not np.all(np.isfinite(t[mask]) & np.isfinite(y[mask]) & (y[mask] > 0)):
+    t, y = t[mask], y[mask]
+    if not np.all((0 < t) & (t < np.inf) & (0 < y) & (y < np.inf)):  # NaN fails these
         raise ConfigurationError("power-law fit requires finite, strictly positive data")
-    lx = np.log(t[mask])
-    ly = np.log(y[mask])
+    lx, ly = np.log(t), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
     ss_tot = np.sum((ly - ly.mean()) ** 2)

@@ -264,7 +264,6 @@ def test_criterion_7_balanced_drive(record_criterion, balanced_family):
 def test_criterion_8_duality_and_determinism(record_criterion, tmp_path,
                                              monkeypatch):
     grid = build_flat_band(1.0, 128)
-    partner = grid.ph_partner_indices()
     rng = np.random.default_rng(42)
     duality = 0.0
     for _ in range(100):
@@ -276,8 +275,8 @@ def test_criterion_8_duality_and_determinism(record_criterion, tmp_path,
         dn1, dd1 = _split(rhs_total(state, forward))
         dn2, dd2 = _split(rhs_total(particle_hole_transform(state, grid), dual))
         duality = max(duality,
-                      float(np.max(np.abs(dn2 + dn1[partner]))),
-                      float(np.max(np.abs(dd2 + np.conj(dd1[partner])))))
+                      float(np.max(np.abs(dn2 + dn1[::-1]))),
+                      float(np.max(np.abs(dd2 + np.conj(dd1[::-1])))))
     ok_duality = duality <= 1e-12
 
     ground = build_ground_state(grid, solve_gap(grid, 1.0))

@@ -216,6 +216,18 @@ def test_run_bad_config_exit_code(tmp_path, capsys):
         == cli.EXIT_CONFIG
 
 
+def test_run_rejects_tolerances_below_the_rtol_floor(tmp_path, capsys):
+    # Both used to start the run and exit 3: a NaN first step at 1e-300, a
+    # step size underflow at 1e-30.
+    for tol in (1e-300, 1e-30):
+        cfg = base_config(tmp_path)
+        cfg["integrator"] = {"rtol": tol, "atol": tol}
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
+        assert "rtol must exceed" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_run_revival_guard_exit_code(tmp_path, capsys):
     cfg = base_config(tmp_path, t_max_w=1000.0)  # guard at 64 modes ~ 80
     config_path = write_config(tmp_path, cfg)
@@ -269,6 +281,22 @@ def test_fit_rejects_non_finite_data(tmp_path, capsys):
     # Outside the window the nan is ignored.
     assert cli.main(["fit", "--input", str(path), "--column", "n",
                      "--window", "20,100"]) == 0
+
+
+def test_fit_rejects_non_positive_times(tmp_path, capsys):
+    # A t_w = 0 row in the window used to end in a LinAlgError traceback.
+    path = tmp_path / "series.csv"
+    t = np.r_[0.0, np.geomspace(1.0, 20.0, 30)]
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t_w", "n"])
+        for ti in t:
+            writer.writerow([f"{ti:.17e}", f"{2.0 / (1.0 + ti) ** 2:.17e}"])
+    assert cli.main(["fit", "--input", str(path), "--column", "n",
+                     "--window", "0,20"]) == cli.EXIT_CONFIG
+    assert "strictly positive" in capsys.readouterr().err
+    assert cli.main(["fit", "--input", str(path), "--column", "n",
+                     "--window", "1,20"]) == 0
 
 
 def test_scan_summary(tmp_path):

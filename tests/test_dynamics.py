@@ -12,6 +12,7 @@ from hybridbcs.dynamics import (
 )
 from hybridbcs.errors import BlowupError, ConfigurationError
 from hybridbcs.lattice import BandGrid, build_flat_band
+from hybridbcs.oracle import MomentumCluster
 
 
 def single_mode_grid():
@@ -241,7 +242,6 @@ def test_particle_hole_duality():
     # n_k -> 1 - n_k, Delta_k -> -Delta_k* with eps -> -eps exchanges the
     # roles of losses and pumps: (Gamma, P, alpha) -> (P, Gamma, alpha).
     grid = build_flat_band(1.0, 16)
-    partner = grid.ph_partner_indices()
     rng = np.random.default_rng(6)
     worst = 0.0
     for _ in range(100):
@@ -252,8 +252,8 @@ def test_particle_hole_duality():
         dn1, dd1 = _split(rhs_total(state, forward))
         dn2, dd2 = _split(rhs_total(particle_hole_transform(state, grid), dual))
         worst = max(worst,
-                    np.max(np.abs(dn2 + dn1[partner])),
-                    np.max(np.abs(dd2 + np.conj(dd1[partner]))))
+                    np.max(np.abs(dn2 + dn1[::-1])),
+                    np.max(np.abs(dd2 + np.conj(dd1[::-1]))))
     assert worst < 1e-12
 
 
@@ -264,6 +264,33 @@ def test_particle_hole_transform_is_involution():
     twice = particle_hole_transform(particle_hole_transform(state, grid), grid)
     assert np.allclose(twice.n_k, state.n_k, atol=1e-15)
     assert np.allclose(twice.d_k, state.d_k, atol=1e-15)
+
+
+def test_particle_hole_partner_is_the_mirror_mode():
+    # The partner of mode k is mode M-1-k on every flat band, including
+    # M = 1000, whose reversed energies miss -eps_k by an ulp: the mirror
+    # holds there only to the 1e-12 W tolerance.
+    eps = build_flat_band(1.0, 1000).energies
+    assert 0.0 < np.max(np.abs(eps[::-1] + eps)) <= 1e-12
+    rng = np.random.default_rng(8)
+    for width, n_modes in ((1.0, 2), (1.0, 16), (1.0, 1000), (3.0, 1000), (1.0, 1024)):
+        state = random_state(rng, n_modes)
+        dual = particle_hole_transform(state, build_flat_band(width, n_modes))
+        assert np.array_equal(dual.n_k, 1.0 - state.n_k[::-1])
+        assert np.array_equal(dual.d_k, -np.conj(state.d_k[::-1]))
+
+
+def test_particle_hole_transform_rejects_a_grid_that_is_not_its_mirror():
+    # [-0.3, 0.5] and the 3-site oracle cluster's [0, 0.5, 0.5] have energies
+    # without a -eps partner; [0.4, 0.6] weights break a mirrored band.
+    uneven = BandGrid(energies=np.array([-0.25, 0.25]), weights=np.array([0.4, 0.6]),
+                      bandwidth=1.0)
+    for grid in (BandGrid(energies=np.array([-0.3, 0.5]), weights=np.array([0.5, 0.5]),
+                          bandwidth=1.0),
+                 MomentumCluster(3).grid, uneven):
+        state = random_state(np.random.default_rng(9), grid.n_modes)
+        with pytest.raises(ConfigurationError, match="mirror"):
+            particle_hole_transform(state, grid)
 
 
 def test_blowup_raises_with_mode_index():

@@ -163,6 +163,30 @@ def test_step_budget_stops_a_wrong_error_estimate(monkeypatch):
         run_protocol(ground, params, Protocol(sample_times=np.array([4.0])))
 
 
+def test_step_size_underflow_raises():
+    # The Im Delta_k that start at 0 grow like dt^2, and their error cannot
+    # meet a 1e-30 absolute tolerance: the step shrinks below min_step at t = 0.
+    grid, ground, params = loss_setup(16, alpha=0.5)
+    with pytest.raises(StepUnderflowError, match="step size underflow at t=0.0"):
+        run_protocol(ground, params, Protocol(sample_times=np.array([4.0])),
+                     rtol=1e-9, atol=1e-30)
+
+
+def test_tolerances_must_be_positive_and_reachable():
+    # An rtol at or below 10 machine epsilons (Hairer's dop853 floor) used to
+    # end in StepUnderflowError (1e-30) or a NaN first step (1e-300).
+    grid, ground, params = loss_setup(16, alpha=0.5)
+    floor = 10 * np.finfo(float).eps
+    for rtol, atol in ((1e-300, 1e-300), (1e-30, 1e-30), (floor, 1e-15), (1e-16, 1.0)):
+        with pytest.raises(ConfigurationError, match="rtol must exceed 2.2e-15"):
+            AdaptiveStepper(params, ground, 4.0, rtol=rtol, atol=atol)
+    for rtol, atol in ((0.0, 1e-12), (-1e-9, 1e-12), (1e-9, 0.0), (1e-9, -1.0),
+                       (np.nan, 1e-12), (1e-9, np.nan)):
+        with pytest.raises(ConfigurationError, match="rtol and atol must be positive"):
+            AdaptiveStepper(params, ground, 4.0, rtol=rtol, atol=atol)
+    AdaptiveStepper(params, ground, 4.0, rtol=np.nextafter(floor, 1.0), atol=1e-15)
+
+
 def test_dop853_global_order():
     # rtol = atol = 1 accepts every step, so stepping with a fixed proposal h
     # sets the step size; the end-point error of the 8th-order solution

@@ -57,6 +57,11 @@ def test_fit_window_errors():
         fit_power_law(t, y, (90.0, 100.0))
     with pytest.raises(ConfigurationError):
         fit_power_law(t, -y, (1.0, 100.0))
+    # A time at or below 0 in the window used to reach np.log and make
+    # np.polyfit raise LinAlgError.
+    for t0 in (0.0, -1.0):
+        with pytest.raises(ConfigurationError, match="strictly positive"):
+            fit_power_law(np.r_[t0, t], np.r_[1.0, y], (t0, 100.0))
 
 
 def test_exponent_drift_vanishes_on_exact_law():
