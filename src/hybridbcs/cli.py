@@ -24,7 +24,7 @@ from . import __version__
 from .dynamics import SystemParams
 from .equilibrium import build_ground_state, solve_gap
 from .errors import ConfigurationError, IntegrationError, NoGapSolutionError
-from .integrator import Protocol, run_protocol
+from .integrator import Protocol, check_run, run_protocol
 from .lattice import build_flat_band
 from .observables import collapse_index, detect_plateau, fit_power_law
 from . import oracle
@@ -243,6 +243,10 @@ def cmd_scan(args):
     if args.workers < 1:
         raise ConfigurationError(f"--workers must be at least 1, got {args.workers}")
     section, key = _AXIS_KEYS[args.axis]
+    # No axis moves the grid, the horizon or the tolerances: check them once.
+    width = cfg["band"]["width"]
+    check_run(build_flat_band(width, cfg["band"]["n_modes"]), cfg["time"]["t_max_w"] / width,
+              **cfg["integrator"])
 
     root, ext = os.path.splitext(cfg["output"]["path"])
     ext = ext or ".csv"

@@ -70,20 +70,29 @@ def _unpack(y, t):
     return BcsState(t, *_split(y))
 
 
+def _monomials(state, grid, quadratic):
+    """The (K, M) stack g of monomials 1, n_k, Re, Im, eps_k Re, eps_k Im of Delta_k
+    (with `quadratic`, K = 12 and n_k^2, Re^2, Im^2, n_k Re, n_k Im, Re Im follow)
+    and sum_k w_k (n_k, Re Delta_k, Im Delta_k): one gemv over three contiguous
+    rows of g, whose bits OpenBLAS keeps at any thread count."""
+    g = np.empty((12 if quadratic else 6, state.n_k.size))
+    g[0], g[1], g[2], g[3] = 1.0, state.n_k, state.d_k.real, state.d_k.imag
+    np.multiply(g[2:4], grid.energies, out=g[4:6])
+    if quadratic:
+        np.multiply(g[1:4], g[1:4], out=g[6:9])
+        np.multiply(g[2:4], g[1], out=g[9:11])
+        np.multiply(g[2], g[3], out=g[11])
+    return g, (g[1:4] @ grid.weights).tolist()
+
+
 def density(state, grid):
     """Total density n = 2 sum_k w_k n_k (factor 2 for spin)."""
-    # einsum, not BLAS ddot, whose bits OpenBLAS lets depend on the thread count.
-    return 2.0 * float(np.einsum("i,i->", grid.weights, state.n_k))
-
-
-def _pairs(d_k):
-    """d_k as an (M, 2) real array [Re Delta_k, Im Delta_k]; a view when contiguous."""
-    return np.ascontiguousarray(d_k).view(float).reshape(-1, 2)
+    return 2.0 * _monomials(state, grid, False)[1][0]
 
 
 def order_parameter(state, grid):
     """Order parameter Delta = sum_k w_k Delta_k."""
-    return complex(*(grid.weights @ _pairs(state.d_k)).tolist())
+    return complex(*_monomials(state, grid, False)[1][1:])
 
 
 def pseudospin(state, grid):
@@ -97,7 +106,8 @@ def pseudospin(state, grid):
     sy = 2.0 * state.d_k.imag
     sz = 2.0 * state.n_k - 1.0
     zeta_k = sx ** 2 + sy ** 2 + sz ** 2
-    zeta_mean = float(np.einsum("i,i->", grid.weights, zeta_k))  # see density
+    # einsum, not BLAS ddot, whose bits OpenBLAS lets depend on the thread count.
+    zeta_mean = float(np.einsum("i,i->", grid.weights, zeta_k))
     return sx, sy, sz, zeta_k, zeta_mean
 
 
@@ -121,58 +131,51 @@ def rhs_total(state, params):
                        - Delta_k (c_l n n_k + 2 c_p hole h_k)
                        - (c_l + c_p) Delta* Delta_k^2]
 
-    Regrouped around the scalars c = c_l + c_p, q, a0, a1, c0, u and v set
-    below, with x.Delta_k = x_r Re Delta_k + x_i Im Delta_k, this reads
+    Regrouped around the scalars c = c_l + c_p, q, a0, a1 and c0 set below and
+    u = (-2 Im Phi + 4 c_p Re Delta, 2 Re Phi + 4 c_p Im Delta), with
+    x.Delta_k = x_r Re Delta_k + x_i Im Delta_k, this reads
 
-        dn_k = a0 + a1 n_k + q (n_k^2 - |Delta_k|^2) + u.Delta_k + n_k (v.Delta_k)
+        dn_k = a0 + a1 n_k + q (n_k^2 - |Delta_k|^2) + (u - 4 c n_k Delta).Delta_k
         dDelta_k = Delta_k (2i eps_k + a1 + 2 q n_k - 2 c Delta* Delta_k)
                    + c0 (1 - 2 n_k) + 2 c Delta n_k^2
+
+    so each row of `table` holds the coefficients of one monomial of
+    _monomials in (dn_k, Re dDelta_k, Im dDelta_k). With c = 0 (alpha = 1 or no
+    rates; c_l, c_p <= 0, so q = 0 too) the rows quadratic in the state vanish.
     """
     grid = params.grid
     gamma, pump = params.gamma, params.pump
-    n_k, d_k = state.n_k, state.d_k
-    d2 = _pairs(d_k)
-    n = density(state, grid)
-    delta = order_parameter(state, grid)
+    c_l, c_p = gamma * (params.alpha - 1.0), pump * (params.alpha - 1.0)
+    c = c_l + c_p
+    g, (s_n, s_r, s_i) = _monomials(state, grid, c != 0.0)
+    n, delta = 2.0 * s_n, complex(s_r, s_i)
     phi = (-params.u + 1j * (gamma - pump)) * delta
     hole = 1.0 - 0.5 * n
-    c_l = gamma * (params.alpha - 1.0)
-    c_p = pump * (params.alpha - 1.0)
-    c = c_l + c_p
     q = 2.0 * c_p * hole - c_l * n
     a0 = 2.0 * (pump + c_p) * hole
     a1 = -gamma * n - 2.0 * (pump + 2.0 * c_p) * hole
     c0 = 1j * phi + 2.0 * c_p * delta
-    out = np.empty(3 * n_k.size)
-    dn, dd = _split(out)
-    # dn_k = u.Delta_k + rest_k and dDelta_k = coef_k Delta_k + source_k.
-    np.dot(d2, [-2.0 * phi.imag + 4.0 * c_p * delta.real,
-                2.0 * phi.real + 4.0 * c_p * delta.imag], out=dn)
-    n_c = n_k.astype(complex)
-    if c == 0.0:  # c_l, c_p <= 0, so alpha = 1 or no rates; q = 0 as well
-        rest = a1 * n_k
-        coef = grid.precession + a1
-        source = n_c * (-2.0 * c0)
-    else:
-        rest = d2 @ [-4.0 * c * delta.real, -4.0 * c * delta.imag]
-        rest += q * n_k
-        rest += a1
-        rest *= n_k
-        sq = np.square(d2)
-        rest -= q * (sq[:, 0] + sq[:, 1])
-        coef = n_c * (2.0 * q)
-        coef += grid.precession
-        coef += a1
-        coef -= (2.0 * c * delta.conjugate()) * d_k
-        source = n_c * (2.0 * c * delta)
-        source -= 2.0 * c0
-        source *= n_c
-    rest += a0
-    dn += rest
-    np.multiply(d_k, coef, out=dd)
-    source += c0
-    dd += source
+    c_r, c_i = 2.0 * c * s_r, 2.0 * c * s_i
+    table = np.fromiter((
+        a0, c0.real, c0.imag,                           # 1
+        a1, -2.0 * c0.real, -2.0 * c0.imag,             # n_k
+        -2.0 * phi.imag + 4.0 * c_p * s_r, a1, 0.0,     # Re Delta_k
+        2.0 * phi.real + 4.0 * c_p * s_i, 0.0, a1,      # Im Delta_k
+        0.0, 0.0, 2.0,                                  # eps_k Re Delta_k
+        0.0, -2.0, 0.0,                                 # eps_k Im Delta_k
+        q, c_r, c_i,                                    # n_k^2
+        -q, -c_r, c_i,                                  # Re^2
+        -q, c_r, -c_i,                                  # Im^2
+        -2.0 * c_r, 2.0 * q, 0.0,                       # n_k Re
+        -2.0 * c_i, 0.0, 2.0 * q,                       # n_k Im
+        0.0, -2.0 * c_i, -2.0 * c_r,                    # Re Im
+    ), float, 3 * len(g)).reshape(-1, 3)
+    m = state.n_k.size
+    out = np.empty(3 * m)
+    np.dot(table[:, 0], g, out=out[:m])
+    np.dot(g.T, table[:, 1:], out=out[m:].reshape(m, 2))  # [Re dDelta_k, Im dDelta_k]
     if not np.isfinite(out).all():
+        dn, dd = _split(out)
         mode = int(np.argmin(np.isfinite(dn) & np.isfinite(dd)))
         raise BlowupError(f"non-finite derivative at mode {mode}, t={state.t}",
                           t=state.t, mode=mode)

@@ -100,6 +100,30 @@ _K_P = 0.4 / 8.0
 _BUDGET_BASE = 1000
 _BUDGET_PER_WT = 100
 _RTOL_FLOOR = 10 * np.finfo(float).eps  # dop853's floor: doubles cannot meet a smaller rtol
+# Error norms with a larger sum of squares (or an overflowed one) are summed again
+# over the rows / 2**e of _scaled; below it, dt and the state size, each under
+# 2**100, cannot overflow the norm's formula.
+_SQUARES_MAX = 2.0 ** 900
+
+
+def check_run(grid, t_end, rtol, atol):
+    """Raise ConfigurationError unless a run on grid up to t_end can meet rtol and atol."""
+    if not (rtol > 0 and atol > 0):
+        raise ConfigurationError("rtol and atol must be positive")
+    if rtol <= _RTOL_FLOOR:
+        raise ConfigurationError(f"rtol must exceed {_RTOL_FLOOR:.1e}, 10 machine epsilons")
+    guard = 0.4 * revival_time(grid)
+    if t_end > guard:
+        raise ConfigurationError(
+            f"last sample time {t_end} exceeds the dephasing revival guard {guard:.3g}; "
+            "increase n_modes")
+
+
+def _scaled(x):
+    """x divided in place by 2**e, and e, with 2**e above max |x|: the squares cannot
+    overflow, and a power of 2 divides exactly, so a norm scaled back keeps its bits."""
+    e = int(np.frexp(np.max(np.abs(x)))[1])
+    return np.ldexp(x, -e, out=x), e
 
 
 class AdaptiveStepper:
@@ -116,10 +140,7 @@ class AdaptiveStepper:
     """
 
     def __init__(self, params, initial, t_end, rtol, atol):
-        if not (rtol > 0 and atol > 0):
-            raise ConfigurationError("rtol and atol must be positive")
-        if rtol <= _RTOL_FLOOR:
-            raise ConfigurationError(f"rtol must exceed {_RTOL_FLOOR:.1e}, 10 machine epsilons")
+        check_run(params.grid, t_end, rtol, atol)
         self.params = params
         self.t_end = t_end
         self.rtol = rtol
@@ -141,8 +162,8 @@ class AdaptiveStepper:
         f0[:] = rhs_total(self.state, params)
         self.n_evals = 1
         scale = atol + rtol * np.abs(y)
-        d0 = np.sqrt(np.mean((y / scale) ** 2))
-        d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+        d0, d1 = (np.ldexp(np.sqrt(np.mean(x ** 2)), e)
+                  for x, e in map(_scaled, (y / scale, f0 / scale)))
         self.dt = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
 
     def _stages(self, rows, h, y, t, buf, state):
@@ -164,7 +185,12 @@ class AdaptiveStepper:
         np.dot(_E, self._k[:13], out=rows)
         rows /= scale
         e5, e3 = np.einsum("ij,ij->i", rows, rows)
-        return abs(dt) * e5 / np.sqrt((e5 + 0.01 * e3) * y.size) if e5 or e3 else 0.0
+        e = 0
+        if max(e5, e3) > _SQUARES_MAX:
+            rows, e = _scaled(rows)
+            e5, e3 = np.einsum("ij,ij->i", rows, rows)
+        return np.ldexp(abs(dt) * e5 / np.sqrt((e5 + 0.01 * e3) * y.size), e) \
+            if e5 or e3 else 0.0
 
     def step(self):
         """Advance self.state by one accepted step, ending on t_end if it would pass it."""
@@ -273,13 +299,6 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12):
         raise ConfigurationError(
             f"first sample time {protocol.sample_times[0]} precedes the initial "
             f"time {initial.t}")
-    t_end = protocol.sample_times[-1]
-    guard = 0.4 * revival_time(grid)
-    if t_end > guard:
-        raise ConfigurationError(
-            f"last sample time {t_end} exceeds the dephasing revival guard {guard:.3g}; "
-            "increase n_modes")
-
     modes = np.array(protocol.record_modes, dtype=int)
     if not np.all((modes >= 0) & (modes < grid.n_modes)):
         raise ConfigurationError(f"record_modes must lie in [0, {grid.n_modes})")
@@ -294,7 +313,7 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12):
                   "params": {"u": params.u, "gamma": params.gamma, "pump": params.pump,
                              "alpha": params.alpha}})
 
-    stepper = AdaptiveStepper(params, initial, t_end, rtol, atol)
+    stepper = AdaptiveStepper(params, initial, protocol.sample_times[-1], rtol, atol)
     for i, t_sample in enumerate(protocol.sample_times):
         while (t := stepper.state.t) < t_sample:
             stepper.step()

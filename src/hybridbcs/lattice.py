@@ -5,7 +5,6 @@ of the band energy is integrated as sum_k w_k f(eps_k), with sum_k w_k = 1.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -45,13 +44,6 @@ class BandGrid:
     @property
     def n_modes(self):
         return len(self.energies)
-
-    @cached_property
-    def precession(self):
-        """2i eps_k, the free precession rate of each Delta_k (computed once)."""
-        rates = 2j * self.energies
-        rates.setflags(write=False)
-        return rates
 
     def nearest_mode(self, energy):
         """Index of the grid mode closest to the requested energy."""

@@ -1,8 +1,6 @@
 import csv
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -401,6 +399,25 @@ def test_pooled_scan_reports_a_failed_run(tmp_path):
     assert rows[1][3:] == [""] * len(cli._SUMMARY)
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("integrator", "rtol", 1e-30, "rtol must exceed 2.2e-15"),
+    ("time", "t_max_w", 30.0, "revival guard 20.1"),
+])
+def test_scan_exits_2_before_any_run_on_an_error_no_value_can_fix(
+        tmp_path, capsys, section, key, value, message):
+    # The tolerances and the revival guard hold for every scanned value, so the
+    # scan stops before any run, as `run` does; it used to write a summary of
+    # failed rows and exit 3.
+    cfg = base_config(tmp_path, samples=15)
+    cfg["band"]["n_modes"] = 16
+    cfg.setdefault(section, {})[key] = value
+    config_path = write_config(tmp_path, cfg)
+    assert cli.main(["scan", "--config", config_path, "--axis", "alpha",
+                     "--values", "0.5,1.0"]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
 def test_missing_output_directory_exit_code(tmp_path, capsys):
     # Checked before any run: the runs used to finish, then fail to write.
     cfg = base_config(tmp_path, samples=15)
@@ -523,19 +540,15 @@ def test_oracle_bad_sites(capsys):
     assert cli.main(["oracle", "--sites", "5"]) == cli.EXIT_CONFIG
 
 
-def test_run_is_bit_identical_at_any_blas_thread_count(tmp_path):
+def test_run_is_bit_identical_at_any_blas_thread_count(tmp_path, run_with_blas_threads):
     # OpenBLAS splits a long dot product across threads, which reorders its
     # sum; every reduction over modes must give the same bits at any count.
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     cfg = base_config(tmp_path, t_max_w=50.0, samples=50)
     cfg["band"]["n_modes"] = 16384
     cfg["dissipation"]["alpha"] = 0.0
     config_path = write_config(tmp_path, cfg)
     outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        subprocess.run([sys.executable, "-m", "hybridbcs.cli", "run", "--config", config_path],
-                       env=env, check=True, stdout=subprocess.DEVNULL, timeout=120)
+    for threads in (1, 2):
+        run_with_blas_threads(["-m", "hybridbcs.cli", "run", "--config", config_path], threads)
         outputs.append((tmp_path / "out.csv").read_bytes())
     assert outputs[0] == outputs[1]

@@ -1,3 +1,5 @@
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,25 @@ def test_density_and_order_parameter():
     state = BcsState(t=0.0, n_k=np.full(4, 0.5), d_k=np.full(4, 0.1 + 0.2j))
     assert abs(density(state, grid) - 1.0) < 1e-15
     assert abs(order_parameter(state, grid) - (0.1 + 0.2j)) < 1e-15
+
+
+def test_order_parameter_is_bit_identical_at_any_blas_thread_count(run_with_blas_threads):
+    # At 262,144 modes OpenBLAS splits an (M, 2) gemv across threads, and
+    # Delta's bits then depended on their number; the sums now come from
+    # three contiguous rows at once.
+    script = textwrap.dedent("""
+        import numpy as np
+        from hybridbcs.dynamics import BcsState, density, order_parameter
+        from hybridbcs.lattice import build_flat_band
+        m = 262144
+        rng = np.random.default_rng(0)
+        state = BcsState(0.0, rng.uniform(0.0, 1.0, m),
+                         rng.uniform(-0.5, 0.5, 2 * m).view(complex))
+        grid = build_flat_band(1.0, m)
+        delta = order_parameter(state, grid)
+        print(delta.real.hex(), delta.imag.hex(), density(state, grid).hex())
+    """)
+    assert run_with_blas_threads(["-c", script], 1) == run_with_blas_threads(["-c", script], 2)
 
 
 def test_gap_field():

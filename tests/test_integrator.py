@@ -172,6 +172,22 @@ def test_step_size_underflow_raises():
                      rtol=1e-9, atol=1e-30)
 
 
+def test_a_tiny_atol_overflows_no_norm():
+    # At atol = 1e-300 the scaled state and derivative reach 1e300, whose
+    # squares overflowed: a RuntimeWarning, a first step of 0 and a NaN error.
+    # Scaled by a power of 2 first, the norms stay finite, and the run fails
+    # as it does at atol = 1e-30: the Im Delta_k that start at 0 cannot meet it.
+    grid, ground, params = loss_setup(16)
+    assert 0.0 < AdaptiveStepper(params, ground, 4.0, rtol=1e-9, atol=1e-300).dt < np.inf
+    with pytest.raises(StepUnderflowError, match="step size underflow"):
+        run_protocol(ground, params, Protocol(sample_times=np.array([4.0])),
+                     rtol=1e-9, atol=1e-300)
+    # A power of 2 divides exactly, so a scaled norm keeps the plain one's bits.
+    x = np.random.default_rng(0).standard_normal(999) * 1e3
+    scaled, e = integrator._scaled(x.copy())
+    assert np.ldexp(np.sqrt(np.mean(scaled ** 2)), e) == np.sqrt(np.mean(x ** 2))
+
+
 def test_tolerances_must_be_positive_and_reachable():
     # An rtol at or below 10 machine epsilons (Hairer's dop853 floor) used to
     # end in StepUnderflowError (1e-30) or a NaN first step (1e-300).
