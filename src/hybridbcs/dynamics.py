@@ -11,6 +11,7 @@ are not clamped; physicality (0 <= n_k <= 1, zeta_k <= 1) is monitored by
 tests, not enforced here.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,45 +55,52 @@ class BcsState:
             raise ConfigurationError("n_k and d_k must have the same length")
 
 
-def _pack(state):
-    """The packed state y = [n_k, Re Delta_0, Im Delta_0, Re Delta_1, ...]."""
-    return np.concatenate([state.n_k, np.ascontiguousarray(state.d_k).view(float)])
+def _pack(state, out=None):
+    """The packed state y = [n_k..., Re Delta_k..., Im Delta_k...], into out if given."""
+    return np.concatenate([state.n_k, state.d_k.real, state.d_k.imag], out=out)
 
 
 def _split(y):
-    """Views of a packed state or derivative: (y[:M], y[M:] read as complex)."""
-    m = y.size // 3
-    return y[:m], y[m:].view(complex)
+    """A packed state or derivative as (its n_k part, a view, and its Delta_k part, a copy)."""
+    n_k, re, im = y.reshape(3, -1)
+    return n_k, re + 1j * im
 
 
 def _unpack(y, t):
-    """A BcsState over the views of y."""
+    """A BcsState over y: n_k a view of y, d_k a copy."""
     return BcsState(t, *_split(y))
 
 
-def _monomials(state, grid, quadratic):
-    """The (K, M) stack g of monomials 1, n_k, Re, Im, eps_k Re, eps_k Im of Delta_k
-    (with `quadratic`, K = 12 and n_k^2, Re^2, Im^2, n_k Re, n_k Im, Re Im follow)
-    and sum_k w_k (n_k, Re Delta_k, Im Delta_k): one gemv over three contiguous
-    rows of g, whose bits OpenBLAS keeps at any thread count."""
-    g = np.empty((12 if quadratic else 6, state.n_k.size))
-    g[0], g[1], g[2], g[3] = 1.0, state.n_k, state.d_k.real, state.d_k.imag
-    np.multiply(g[2:4], grid.energies, out=g[4:6])
-    if quadratic:
-        np.multiply(g[1:4], g[1:4], out=g[6:9])
-        np.multiply(g[2:4], g[1], out=g[9:11])
-        np.multiply(g[2], g[3], out=g[11])
-    return g, (g[1:4] @ grid.weights).tolist()
+class _Stack:
+    """A state kept as rows 1-3 (its packed y) of its own (K, M) stack g of the
+    monomials 1, n_k, Re, Im, eps_k Re, eps_k Im of Delta_k and, where params have
+    corrections (K = 12), n_k^2, Re^2, Im^2, n_k Re, n_k Im, Re Im. rhs_total fills
+    rows 4 and up and writes the packed derivative into out."""
+
+    def __init__(self, state, params):
+        quadratic = params.alpha != 1.0 and params.gamma + params.pump > 0.0
+        self.t = state.t
+        self.g = np.empty((12 if quadratic else 6, state.n_k.size))
+        self.g[0] = 1.0
+        self.n_k = self.g[1]
+        self.y = _pack(state, out=self.g[1:4].reshape(-1))
+        self.out = np.empty_like(self.y)
+
+
+def _rows(state):
+    """n_k, Re Delta_k and Im Delta_k as the contiguous rows of a (3, M) array; a
+    gemv over all three keeps its bits at any OpenBLAS thread count."""
+    return (state.y if isinstance(state, _Stack) else _pack(state)).reshape(3, -1)
 
 
 def density(state, grid):
     """Total density n = 2 sum_k w_k n_k (factor 2 for spin)."""
-    return 2.0 * _monomials(state, grid, False)[1][0]
+    return 2.0 * float((_rows(state) @ grid.weights)[0])
 
 
 def order_parameter(state, grid):
     """Order parameter Delta = sum_k w_k Delta_k."""
-    return complex(*_monomials(state, grid, False)[1][1:])
+    return complex(*(_rows(state) @ grid.weights)[1:])
 
 
 def pseudospin(state, grid):
@@ -102,9 +110,8 @@ def pseudospin(state, grid):
     sy = 2 Im Delta_k, sz = 2 n_k - 1 and zeta_k = sx^2 + sy^2 + sz^2;
     zeta_mean is the weighted average over the grid.
     """
-    sx = 2.0 * state.d_k.real
-    sy = 2.0 * state.d_k.imag
-    sz = 2.0 * state.n_k - 1.0
+    n_k, re, im = _rows(state)
+    sx, sy, sz = 2.0 * re, 2.0 * im, 2.0 * n_k - 1.0
     zeta_k = sx ** 2 + sy ** 2 + sz ** 2
     # einsum, not BLAS ddot, whose bits OpenBLAS lets depend on the thread count.
     zeta_mean = float(np.einsum("i,i->", grid.weights, zeta_k))
@@ -114,7 +121,9 @@ def pseudospin(state, grid):
 def rhs_total(state, params):
     """Hybrid generator: Lindblad + (alpha-1)-weighted loss and pump terms.
 
-    Returns the packed derivative [dn_k, Re dDelta_0, Im dDelta_0, ...] (see _split).
+    Returns the packed derivative [dn_k..., Re dDelta_k..., Im dDelta_k...] (see
+    _split), written into the out of a _Stack. A BcsState is packed into a fresh
+    one, with floating-point overflow silenced as the stepper silences it.
 
     With Phi = (-|U| + i(Gamma - P)) Delta the gap field, hole = 1 - n/2 and
     h_k = 1 - n_k, the Lindblad part is
@@ -140,14 +149,22 @@ def rhs_total(state, params):
                    + c0 (1 - 2 n_k) + 2 c Delta n_k^2
 
     so each row of `table` holds the coefficients of one monomial of
-    _monomials in (dn_k, Re dDelta_k, Im dDelta_k). With c = 0 (alpha = 1 or no
+    the stack in (dn_k, Re dDelta_k, Im dDelta_k). With c = 0 (alpha = 1 or no
     rates; c_l, c_p <= 0, so q = 0 too) the rows quadratic in the state vanish.
     """
-    grid = params.grid
+    if isinstance(state, BcsState):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return rhs_total(_Stack(state, params), params)
+    g, grid = state.g, params.grid
     gamma, pump = params.gamma, params.pump
     c_l, c_p = gamma * (params.alpha - 1.0), pump * (params.alpha - 1.0)
     c = c_l + c_p
-    g, (s_n, s_r, s_i) = _monomials(state, grid, c != 0.0)
+    np.multiply(g[2:4], grid.energies, out=g[4:6])
+    if len(g) == 12:
+        np.multiply(g[1:4], g[1:4], out=g[6:9])
+        np.multiply(g[2:4], g[1], out=g[9:11])
+        np.multiply(g[2], g[3], out=g[11])
+    s_n, s_r, s_i = (g[1:4] @ grid.weights).tolist()  # as _rows(state)
     n, delta = 2.0 * s_n, complex(s_r, s_i)
     phi = (-params.u + 1j * (gamma - pump)) * delta
     hole = 1.0 - 0.5 * n
@@ -170,16 +187,20 @@ def rhs_total(state, params):
         -2.0 * c_i, 0.0, 2.0 * q,                       # n_k Im
         0.0, -2.0 * c_i, -2.0 * c_r,                    # Re Im
     ), float, 3 * len(g)).reshape(-1, 3)
-    m = state.n_k.size
-    out = np.empty(3 * m)
-    np.dot(table[:, 0], g, out=out[:m])
-    np.dot(g.T, table[:, 1:], out=out[m:].reshape(m, 2))  # [Re dDelta_k, Im dDelta_k]
-    if not np.isfinite(out).all():
-        dn, dd = _split(out)
-        mode = int(np.argmin(np.isfinite(dn) & np.isfinite(dd)))
-        raise BlowupError(f"non-finite derivative at mode {mode}, t={state.t}",
-                          t=state.t, mode=mode)
-    return out
+    np.dot(table.T, g, out=state.out.reshape(3, -1))
+    _check_finite(state.out, state.t)
+    return state.out
+
+
+def _check_finite(deriv, t):
+    """Raise BlowupError naming the first mode with a non-finite entry of deriv. One
+    dot product screens for those; large finite entries can overflow it too, so the
+    modes are checked only when it is not finite."""
+    if not math.isfinite(np.dot(deriv, deriv)):
+        finite = np.isfinite(deriv.reshape(3, -1)).all(axis=0)
+        if not finite.all():
+            mode = int(np.argmin(finite))
+            raise BlowupError(f"non-finite derivative at mode {mode}, t={t}", t=t, mode=mode)
 
 
 def particle_hole_transform(state, grid):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _pack, _unpack, density, order_parameter, pseudospin, rhs_total
+from .dynamics import _Stack, density, order_parameter, pseudospin, rhs_total
 from .errors import ConfigurationError, StepUnderflowError
 from .lattice import revival_time
 
@@ -133,12 +133,15 @@ class AdaptiveStepper:
     end there; samples inside a step come from sample(), the 7th-order
     interpolant. Row 12 of the (16, size) stage buffer, f at the new point, is
     filled by __init__ and copied into row 0 as a step starts, so sample() finds
-    the last step's stages intact. Two packed buffers, each with a BcsState over
-    its views, take turns as self.state and the stages' target. An attempt costs
-    twelve RHS evaluations and a step sample() reads three more; n_evals counts
-    all, n_dense those steps. self.dt is the next step's proposal.
+    the last step's stages intact. Two dynamics._Stack states take turns as
+    self.state and the stage target, in whose rows each stage is combined before
+    rhs_total writes f into its row of the buffer; overflow there is silenced
+    and reported by rhs_total's finite check. An attempt costs twelve RHS
+    evaluations and a step sample() reads three more; n_evals counts all,
+    n_dense those steps. self.dt is the next step's proposal.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, params, initial, t_end, rtol, atol):
         check_run(params.grid, t_end, rtol, atol)
         self.params = params
@@ -151,29 +154,31 @@ class AdaptiveStepper:
         self.n_steps = self.n_rejected = self.n_dense = 0
         self.dt_min = self.dt_max = None
         self._err_prev = 1.0
-        y = _pack(initial)
-        self._bufs = [(buf, _unpack(buf, initial.t)) for buf in (y, np.empty_like(y))]
-        self.state = self._bufs[0][1]
-        self._out = (buf := np.empty_like(y), _unpack(buf, initial.t))
+        self._bufs = [_Stack(initial, params) for _ in range(2)]
+        self._out = _Stack(initial, params)
+        self.state = self._bufs[0]
         self._dense_at = self._h = 0  # the step whose extra stages are in k; last dt
+        y = self.state.y
         self._k = np.empty((16, y.size))
         self._err = np.empty((3, y.size))  # the scale, then the two error rows
-        f0 = self._k[12]
-        f0[:] = rhs_total(self.state, params)
+        self.state.out = f0 = self._k[12]
+        rhs_total(self.state, params)
         self.n_evals = 1
         scale = atol + rtol * np.abs(y)
         d0, d1 = (np.ldexp(np.sqrt(np.mean(x ** 2)), e)
                   for x, e in map(_scaled, (y / scale, f0 / scale)))
         self.dt = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
 
-    def _stages(self, rows, h, y, t, buf, state):
+    @np.errstate(over="ignore", invalid="ignore")
+    def _stages(self, rows, h, y, t, stage):
         """Evaluate the stages in rows of a step of size h from (t, y) into self._k."""
         a, k = h * _A, self._k
         for i in rows:
-            np.dot(a[i, :i], k[:i], out=buf)
-            buf += y
-            state.t = t + _C[i] * h
-            k[i] = rhs_total(state, self.params)
+            np.dot(a[i, :i], k[:i], out=stage.y)
+            stage.y += y
+            stage.t = t + _C[i] * h
+            stage.out = k[i]
+            rhs_total(stage, self.params)
         self.n_evals += len(rows)
 
     def _error_norm(self, dt, y, y_new):
@@ -194,8 +199,8 @@ class AdaptiveStepper:
 
     def step(self):
         """Advance self.state by one accepted step, ending on t_end if it would pass it."""
-        (y, state), (y_new, stage) = self._bufs
-        t = state.t
+        state, stage = self._bufs
+        y, t = state.y, state.t
         self._k[0] = self._k[12]
         while True:
             if self.n_steps + self.n_rejected >= self.budget:
@@ -203,8 +208,8 @@ class AdaptiveStepper:
                     f"step budget {self.budget:.0f} exhausted at t={t}", t=t)
             hit = self.dt >= self.t_end - t
             dt_try = self.t_end - t if hit else self.dt
-            self._stages(range(1, 13), dt_try, y, t, y_new, stage)
-            err = self._error_norm(dt_try, y, y_new)
+            self._stages(range(1, 13), dt_try, y, t, stage)
+            err = self._error_norm(dt_try, y, stage.y)
             if err <= 1.0:
                 self.n_steps += 1
                 self._h = dt_try
@@ -226,14 +231,14 @@ class AdaptiveStepper:
 
     def sample(self, t):
         """The state at t inside the last accepted step; the next call overwrites it."""
-        h, (y_old, old), (buf, out) = self._h, self._bufs[1], self._out
+        h, old, out = self._h, self._bufs[1], self._out
         if self._dense_at != self.n_steps:  # the extra stages, once per step
-            self._stages(range(13, 16), h, y_old, old.t, buf, out)
+            self._stages(range(13, 16), h, old.y, old.t, out)
             self.n_dense += 1
             self._dense_at = self.n_steps
         x = (t - old.t) / h
-        np.dot(h * (np.cumprod([x, 1.0 - x] * 3 + [x]) @ _W), self._k, out=buf)
-        buf += y_old
+        np.dot(h * (np.cumprod([x, 1.0 - x] * 3 + [x]) @ _W), self._k, out=out.y)
+        out.y += old.y
         out.t = t
         return out
 

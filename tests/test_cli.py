@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hybridbcs import cli, oracle
-from hybridbcs.dynamics import _split
+from hybridbcs.dynamics import BcsState, _pack, _split
 from hybridbcs.errors import ConfigurationError, IntegrationError
 from hybridbcs.observables import collapse_index, detect_plateau
 
@@ -518,9 +518,8 @@ def test_oracle_corrupt_exit_code(capsys, monkeypatch):
     exact = oracle.rhs_total
 
     def perturbed(state, params):
-        deriv = exact(state, params)
-        _split(deriv)[1][:] += 1e-3
-        return deriv
+        dn_k, dd_k = _split(exact(state, params))
+        return _pack(BcsState(state.t, dn_k, dd_k + 1e-3))
 
     monkeypatch.setattr(oracle, "rhs_total", perturbed)
     assert cli.main(["oracle", "--seeds", "2"]) == cli.EXIT_ORACLE

@@ -6,6 +6,7 @@ import pytest
 from hybridbcs.dynamics import (
     BcsState,
     SystemParams,
+    _check_finite,
     _split,
     density,
     order_parameter,
@@ -59,10 +60,13 @@ def test_density_and_order_parameter():
 def test_order_parameter_is_bit_identical_at_any_blas_thread_count(run_with_blas_threads):
     # At 262,144 modes OpenBLAS splits an (M, 2) gemv across threads, and
     # Delta's bits then depended on their number; the sums now come from
-    # three contiguous rows at once.
+    # three contiguous rows at once. rhs_total's (3, K) @ (K, M) product,
+    # K = 12 at alpha = 0 and 6 at alpha = 1, must keep its bits as well.
     script = textwrap.dedent("""
+        import hashlib
         import numpy as np
-        from hybridbcs.dynamics import BcsState, density, order_parameter
+        from hybridbcs.dynamics import (BcsState, SystemParams, density,
+                                        order_parameter, rhs_total)
         from hybridbcs.lattice import build_flat_band
         m = 262144
         rng = np.random.default_rng(0)
@@ -71,6 +75,9 @@ def test_order_parameter_is_bit_identical_at_any_blas_thread_count(run_with_blas
         grid = build_flat_band(1.0, m)
         delta = order_parameter(state, grid)
         print(delta.real.hex(), delta.imag.hex(), density(state, grid).hex())
+        for alpha in (0.0, 1.0):
+            params = SystemParams(u=1.0, gamma=0.1, pump=0.05, alpha=alpha, grid=grid)
+            print(hashlib.sha256(rhs_total(state, params).tobytes()).hexdigest())
     """)
     assert run_with_blas_threads(["-c", script], 1) == run_with_blas_threads(["-c", script], 2)
 
@@ -325,3 +332,33 @@ def test_blowup_raises_with_mode_index():
     # the first non-finite entry.
     assert info.value.mode == 0
     assert info.value.t == 1.5
+
+
+def test_finite_screen_raises_exactly_on_a_non_finite_entry():
+    # rhs_total screens its derivative with one dot product, its sum of
+    # squares, and checks the modes one by one only when that is not finite.
+    # It must raise, naming the first mode with a non-finite entry, for one
+    # NaN entry and for +inf in one mode with -inf in another (their sum is
+    # NaN), and must not raise for finite entries whose sum, and so their sum
+    # of squares, overflows. Overflow is silenced as the stepper and rhs_total
+    # silence it.
+    deriv = np.zeros(12)  # four modes: the n_k, Re and Im planes
+    deriv[9] = np.nan     # Im dDelta_1
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowupError) as nan:
+        _check_finite(deriv, 2.0)
+    assert (nan.value.mode, nan.value.t) == (1, 2.0)
+    # With W = 4, eps_0 = -1.5 and eps_3 = 1.5: Delta_0 = Delta_3 = 1e308 i
+    # overflow Re dDelta_0 = -2 eps_0 Im Delta_0 to +inf and Re dDelta_3 to -inf.
+    grid = build_flat_band(4.0, 4)
+    params = SystemParams(u=1.0, gamma=0.0, pump=0.0, alpha=1.0, grid=grid)
+    state = BcsState(t=0.5, n_k=np.full(4, 0.5), d_k=np.array([1e308j, 0, 0, 1e308j]))
+    with pytest.raises(BlowupError) as infs:
+        rhs_total(state, params)
+    assert (infs.value.mode, infs.value.t) == (0, 0.5)
+    # At alpha = 1 nothing is squared: Re Delta_k = 5e307 sign(eps_k) gives
+    # finite entries up to 1.5e308 whose sum overflows.
+    params = SystemParams(u=1.0, gamma=0.1, pump=0.0, alpha=1.0, grid=grid)
+    state = BcsState(t=0.5, n_k=np.full(4, 0.5), d_k=5e307 * np.sign(grid.energies) + 0j)
+    deriv = rhs_total(state, params)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(deriv).all() and deriv.sum() == np.inf

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson, solve_ivp
@@ -77,8 +79,9 @@ def test_fixed_step_order():
 
 
 def test_pack_layout_round_trip():
-    # y = [n_k, Re Delta_0, Im Delta_0, Re Delta_1, ...]: unpacking gives
-    # views of y, and packing them again gives y back bit for bit.
+    # y = [n_k..., Re Delta_k..., Im Delta_k...]: unpacking gives n_k as a
+    # view of y and Delta_k from its two planes, and packing them again gives
+    # y back bit for bit.
     rng = np.random.default_rng(4)
     state = BcsState(t=0.7, n_k=rng.uniform(0.0, 1.0, 6),
                      d_k=rng.normal(size=6) + 1j * rng.normal(size=6))
@@ -86,25 +89,47 @@ def test_pack_layout_round_trip():
     back = _unpack(y, state.t)
     assert back.n_k.tobytes() == state.n_k.tobytes()
     assert back.d_k.tobytes() == state.d_k.tobytes()
-    assert back.t == state.t and y[7] == state.d_k[0].imag
-    assert np.shares_memory(back.n_k, y) and np.shares_memory(back.d_k, y)
+    assert back.t == state.t
+    assert (y[0], y[6], y[12], y[17]) == (state.n_k[0], state.d_k[0].real,
+                                          state.d_k[0].imag, state.d_k[5].imag)
+    assert np.shares_memory(back.n_k, y)
     assert _pack(back).tobytes() == y.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_blowup_reports_mode_and_time():
     # With W = 4 the top mode has eps_3 = 1.5, so 2i eps_3 Delta_3 with
-    # Delta_3 = 1e308 i overflows Re dDelta_3 alone; every other entry of
-    # the derivative stays finite. Both paths must name mode 3 and the time.
+    # Delta_3 = 1e308 i overflows Re dDelta_3; at alpha = 0.5 the stack's
+    # squares of Delta_3 overflow too, while every other mode's entries and
+    # the sums over modes stay finite. Both paths must name mode 3 and the
+    # time, and raise no RuntimeWarning first (the suite makes those errors).
     grid = build_flat_band(4.0, 4)
-    params = SystemParams(u=1.0, gamma=0.0, pump=0.0, alpha=1.0, grid=grid)
     state = BcsState(t=0.25, n_k=np.full(4, 0.5), d_k=np.array([0, 0, 0, 1e308j]))
-    with pytest.raises(BlowupError) as direct:
-        rhs_total(state, params)
-    with pytest.raises(BlowupError) as run:
-        run_protocol(state, params, Protocol(sample_times=np.array([1.0])))
-    for info in (direct, run):
-        assert (info.value.mode, info.value.t) == (3, 0.25)
+    for alpha, gamma in ((1.0, 0.0), (0.5, 0.1)):
+        params = SystemParams(u=1.0, gamma=gamma, pump=0.0, alpha=alpha, grid=grid)
+        with pytest.raises(BlowupError) as direct:
+            rhs_total(state, params)
+        with pytest.raises(BlowupError) as run:
+            run_protocol(state, params, Protocol(sample_times=np.array([1.0])))
+        for info in (direct, run):
+            assert (info.value.mode, info.value.t) == (3, 0.25)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.0])
+def test_steps_allocate_less_than_one_state(alpha):
+    # Each stage is combined inside the target state's monomial stack and
+    # rhs_total writes its derivative into the stage row, so once warm, ten
+    # steps on 4096 modes must peak below one packed state (3M doubles).
+    grid, ground, params = loss_setup(4096, alpha=alpha)
+    stepper = AdaptiveStepper(params, ground, 100.0, rtol=1e-9, atol=1e-12)
+    stepper.step()
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            stepper.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * grid.n_modes * 8, peak
 
 
 def test_tableau_matches_hairer_dop853():

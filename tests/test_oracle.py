@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg import expm
 
 from hybridbcs import cli, fock, oracle
-from hybridbcs.dynamics import _split
+from hybridbcs.dynamics import BcsState, _pack, _split
 from hybridbcs.errors import ConfigurationError
 from hybridbcs.oracle import (
     MomentumCluster,
@@ -221,11 +221,8 @@ def test_eom_suite_catches_corruption(monkeypatch):
 
     def shifted(shift_n, shift_d):
         def perturbed(state, params):
-            deriv = exact(state, params)
-            dn_k, dd_k = _split(deriv)
-            dn_k += shift_n
-            dd_k += shift_d
-            return deriv
+            dn_k, dd_k = _split(exact(state, params))
+            return _pack(BcsState(state.t, dn_k + shift_n, dd_k + shift_d))
         return perturbed
 
     def wrong_alpha(state, params):
