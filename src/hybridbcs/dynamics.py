@@ -40,67 +40,44 @@ class SystemParams:
             raise ConfigurationError("alpha must lie in [0, 1]")
 
 
-@dataclass
 class BcsState:
-    """Per-mode occupations n_k (per spin) and pairing amplitudes Delta_k."""
+    """Per-mode occupations n_k (per spin) and pairing amplitudes Delta_k at time t,
+    held as rows 1-3 of a (12, M) stack g of the monomials 1, n_k, Re, Im, eps_k Re,
+    eps_k Im of Delta_k and n_k^2, Re^2, Im^2, n_k Re, n_k Im, Re Im; rhs_total fills
+    rows 4 and up. n_k is a view of row 1, y = [n_k..., Re Delta_k..., Im Delta_k...]
+    (see _split) the flat view of rows 1-3, d_k a complex copy. rhs_total writes the
+    packed derivative into out, or into a fresh array while out is None."""
 
-    t: float
-    n_k: np.ndarray
-    d_k: np.ndarray
+    def __init__(self, t, n_k, d_k):
+        n_k, d_k = np.asarray(n_k, dtype=float), np.asarray(d_k, dtype=complex)
+        if n_k.ndim != 1 or n_k.shape != d_k.shape:
+            raise ConfigurationError("n_k and d_k must be 1-D and of the same length")
+        self.t, self.out = t, None
+        self.g = np.empty((12, n_k.size))
+        self.g[0] = 1.0
+        self.g[1:4] = n_k, d_k.real, d_k.imag
+        self.n_k, self.y = self.g[1], self.g[1:4].reshape(-1)
 
-    def __post_init__(self):
-        self.n_k = np.asarray(self.n_k, dtype=float)
-        self.d_k = np.asarray(self.d_k, dtype=complex)
-        if self.n_k.shape != self.d_k.shape:
-            raise ConfigurationError("n_k and d_k must have the same length")
-
-
-def _pack(state, out=None):
-    """The packed state y = [n_k..., Re Delta_k..., Im Delta_k...], into out if given."""
-    return np.concatenate([state.n_k, state.d_k.real, state.d_k.imag], out=out)
+    @property
+    def d_k(self):
+        return _split(self.y)[1]
 
 
 def _split(y):
     """A packed state or derivative as (its n_k part, a view, and its Delta_k part, a copy)."""
-    n_k, re, im = y.reshape(3, -1)
-    return n_k, re + 1j * im
-
-
-def _unpack(y, t):
-    """A BcsState over y: n_k a view of y, d_k a copy."""
-    return BcsState(t, *_split(y))
-
-
-class _Stack:
-    """A state kept as rows 1-3 (its packed y) of its own (K, M) stack g of the
-    monomials 1, n_k, Re, Im, eps_k Re, eps_k Im of Delta_k and, where params have
-    corrections (K = 12), n_k^2, Re^2, Im^2, n_k Re, n_k Im, Re Im. rhs_total fills
-    rows 4 and up and writes the packed derivative into out."""
-
-    def __init__(self, state, params):
-        quadratic = params.alpha != 1.0 and params.gamma + params.pump > 0.0
-        self.t = state.t
-        self.g = np.empty((12 if quadratic else 6, state.n_k.size))
-        self.g[0] = 1.0
-        self.n_k = self.g[1]
-        self.y = _pack(state, out=self.g[1:4].reshape(-1))
-        self.out = np.empty_like(self.y)
-
-
-def _rows(state):
-    """n_k, Re Delta_k and Im Delta_k as the contiguous rows of a (3, M) array; a
-    gemv over all three keeps its bits at any OpenBLAS thread count."""
-    return (state.y if isinstance(state, _Stack) else _pack(state)).reshape(3, -1)
+    rows = y.reshape(3, -1)  # re + 1j * im would not be exact at -0.0 or inf
+    return rows[0], rows[1:].T.copy().view(complex)[:, 0]
 
 
 def density(state, grid):
     """Total density n = 2 sum_k w_k n_k (factor 2 for spin)."""
-    return 2.0 * float((_rows(state) @ grid.weights)[0])
+    # One gemv over three contiguous rows keeps its bits at any BLAS thread count.
+    return 2.0 * float((state.g[1:4] @ grid.weights)[0])
 
 
 def order_parameter(state, grid):
     """Order parameter Delta = sum_k w_k Delta_k."""
-    return complex(*(_rows(state) @ grid.weights)[1:])
+    return complex(*(state.g[1:4] @ grid.weights)[1:])
 
 
 def pseudospin(state, grid):
@@ -110,7 +87,7 @@ def pseudospin(state, grid):
     sy = 2 Im Delta_k, sz = 2 n_k - 1 and zeta_k = sx^2 + sy^2 + sz^2;
     zeta_mean is the weighted average over the grid.
     """
-    n_k, re, im = _rows(state)
+    n_k, re, im = state.g[1:4]
     sx, sy, sz = 2.0 * re, 2.0 * im, 2.0 * n_k - 1.0
     zeta_k = sx ** 2 + sy ** 2 + sz ** 2
     # einsum, not BLAS ddot, whose bits OpenBLAS lets depend on the thread count.
@@ -122,8 +99,8 @@ def rhs_total(state, params):
     """Hybrid generator: Lindblad + (alpha-1)-weighted loss and pump terms.
 
     Returns the packed derivative [dn_k..., Re dDelta_k..., Im dDelta_k...] (see
-    _split), written into the out of a _Stack. A BcsState is packed into a fresh
-    one, with floating-point overflow silenced as the stepper silences it.
+    _split), written into state.out; while that is None, into a fresh array, with
+    floating-point overflow silenced as the stepper silences it.
 
     With Phi = (-|U| + i(Gamma - P)) Delta the gap field, hole = 1 - n/2 and
     h_k = 1 - n_k, the Lindblad part is
@@ -150,21 +127,26 @@ def rhs_total(state, params):
 
     so each row of `table` holds the coefficients of one monomial of
     the stack in (dn_k, Re dDelta_k, Im dDelta_k). With c = 0 (alpha = 1 or no
-    rates; c_l, c_p <= 0, so q = 0 too) the rows quadratic in the state vanish.
+    rates; c_l, c_p <= 0, so q = 0 too) the rows quadratic in the state vanish, and
+    rows 6-11 of the stack are neither filled nor read.
     """
-    if isinstance(state, BcsState):
+    if state.out is None:
         with np.errstate(over="ignore", invalid="ignore"):
-            return rhs_total(_Stack(state, params), params)
+            state.out = np.empty_like(state.y)
+            try:
+                return rhs_total(state, params)
+            finally:
+                state.out = None
     g, grid = state.g, params.grid
     gamma, pump = params.gamma, params.pump
     c_l, c_p = gamma * (params.alpha - 1.0), pump * (params.alpha - 1.0)
     c = c_l + c_p
     np.multiply(g[2:4], grid.energies, out=g[4:6])
-    if len(g) == 12:
+    if c:
         np.multiply(g[1:4], g[1:4], out=g[6:9])
         np.multiply(g[2:4], g[1], out=g[9:11])
         np.multiply(g[2], g[3], out=g[11])
-    s_n, s_r, s_i = (g[1:4] @ grid.weights).tolist()  # as _rows(state)
+    s_n, s_r, s_i = (g[1:4] @ grid.weights).tolist()  # as density
     n, delta = 2.0 * s_n, complex(s_r, s_i)
     phi = (-params.u + 1j * (gamma - pump)) * delta
     hole = 1.0 - 0.5 * n
@@ -186,8 +168,8 @@ def rhs_total(state, params):
         -2.0 * c_r, 2.0 * q, 0.0,                       # n_k Re
         -2.0 * c_i, 0.0, 2.0 * q,                       # n_k Im
         0.0, -2.0 * c_i, -2.0 * c_r,                    # Re Im
-    ), float, 3 * len(g)).reshape(-1, 3)
-    np.dot(table.T, g, out=state.out.reshape(3, -1))
+    ), float, 36 if c else 18).reshape(-1, 3)
+    np.dot(table.T, g[:len(table)], out=state.out.reshape(3, -1))
     _check_finite(state.out, state.t)
     return state.out
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _Stack, density, order_parameter, pseudospin, rhs_total
+from .dynamics import BcsState, density, order_parameter, pseudospin, rhs_total
 from .errors import ConfigurationError, StepUnderflowError
 from .lattice import revival_time
 
@@ -113,7 +113,7 @@ def check_run(grid, t_end, rtol, atol):
     if rtol <= _RTOL_FLOOR:
         raise ConfigurationError(f"rtol must exceed {_RTOL_FLOOR:.1e}, 10 machine epsilons")
     guard = 0.4 * revival_time(grid)
-    if t_end > guard:
+    if not t_end <= guard:
         raise ConfigurationError(
             f"last sample time {t_end} exceeds the dephasing revival guard {guard:.3g}; "
             "increase n_modes")
@@ -133,10 +133,10 @@ class AdaptiveStepper:
     end there; samples inside a step come from sample(), the 7th-order
     interpolant. Row 12 of the (16, size) stage buffer, f at the new point, is
     filled by __init__ and copied into row 0 as a step starts, so sample() finds
-    the last step's stages intact. Two dynamics._Stack states take turns as
-    self.state and the stage target, in whose rows each stage is combined before
-    rhs_total writes f into its row of the buffer; overflow there is silenced
-    and reported by rhs_total's finite check. An attempt costs twelve RHS
+    the last step's stages intact. Two BcsState copies of initial take turns as
+    self.state and the stage target, in whose stack rows each stage is combined
+    before rhs_total writes f into its row of the buffer; overflow there is
+    silenced and reported by rhs_total's finite check. An attempt costs twelve RHS
     evaluations and a step sample() reads three more; n_evals counts all,
     n_dense those steps. self.dt is the next step's proposal.
     """
@@ -154,15 +154,14 @@ class AdaptiveStepper:
         self.n_steps = self.n_rejected = self.n_dense = 0
         self.dt_min = self.dt_max = None
         self._err_prev = 1.0
-        self._bufs = [_Stack(initial, params) for _ in range(2)]
-        self._out = _Stack(initial, params)
+        *self._bufs, self._out = (BcsState(initial.t, initial.n_k, initial.d_k)
+                                  for _ in range(3))
         self.state = self._bufs[0]
         self._dense_at = self._h = 0  # the step whose extra stages are in k; last dt
         y = self.state.y
         self._k = np.empty((16, y.size))
         self._err = np.empty((3, y.size))  # the scale, then the two error rows
-        self.state.out = f0 = self._k[12]
-        rhs_total(self.state, params)
+        self._k[12] = f0 = rhs_total(self.state, params)
         self.n_evals = 1
         scale = atol + rtol * np.abs(y)
         d0, d1 = (np.ldexp(np.sqrt(np.mean(x ** 2)), e)
@@ -179,6 +178,7 @@ class AdaptiveStepper:
             stage.t = t + _C[i] * h
             stage.out = k[i]
             rhs_total(stage, self.params)
+        stage.out = None
         self.n_evals += len(rows)
 
     def _error_norm(self, dt, y, y_new):
@@ -254,9 +254,10 @@ class Protocol:
         times = np.asarray(self.sample_times, dtype=float)
         object.__setattr__(self, "sample_times", times)
         object.__setattr__(self, "record_modes", tuple(int(m) for m in self.record_modes))
-        if times.size == 0 or np.any(np.diff(times) <= 0):
-            raise ConfigurationError("sample_times must be strictly increasing")
-        if times[0] < 0:
+        # Written so that NaN fails each comparison.
+        if times.size == 0 or not (np.all(np.diff(times) > 0) and np.isfinite(times[-1])):
+            raise ConfigurationError("sample_times must be finite and strictly increasing")
+        if not times[0] >= 0:
             raise ConfigurationError("sample_times must be non-negative")
 
 
@@ -300,7 +301,7 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12):
     grid = params.grid
     if len(initial.n_k) != grid.n_modes:
         raise ConfigurationError("initial state does not match the grid")
-    if protocol.sample_times[0] < initial.t:
+    if not protocol.sample_times[0] >= initial.t:
         raise ConfigurationError(
             f"first sample time {protocol.sample_times[0]} precedes the initial "
             f"time {initial.t}")

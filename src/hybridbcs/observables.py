@@ -38,6 +38,8 @@ def fit_power_law(t, y, window):
     if not np.all((0 < t) & (t < np.inf) & (0 < y) & (y < np.inf)):  # NaN fails these
         raise ConfigurationError("power-law fit requires finite, strictly positive data")
     lx, ly = np.log(t), np.log(y)
+    if not lx.min() < lx.max():
+        raise ConfigurationError(f"the times in window ({t_lo}, {t_hi}) span no interval")
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
     ss_tot = np.sum((ly - ly.mean()) ** 2)

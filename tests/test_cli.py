@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hybridbcs import cli, oracle
-from hybridbcs.dynamics import BcsState, _pack, _split
+from hybridbcs.dynamics import BcsState, _split
 from hybridbcs.errors import ConfigurationError, IntegrationError
 from hybridbcs.observables import collapse_index, detect_plateau
 
@@ -254,9 +254,9 @@ def test_fit_command(tmp_path, capsys):
     # A header alone, or rows shorter than the header, used to raise IndexError.
     header_only = tmp_path / "header.csv"
     header_only.write_text("t_w,n\n")
-    short_rows = tmp_path / "short.csv"
-    short_rows.write_text("t_w,n\n1.0\n2.0\n")
-    for bad in (header_only, short_rows):
+    short_lines = tmp_path / "short.csv"
+    short_lines.write_text("t_w,n\n1.0\n2.0\n")
+    for bad in (header_only, short_lines):
         assert cli.main(["fit", "--input", str(bad), "--column", "n",
                          "--window", "1,100"]) == cli.EXIT_CONFIG
         assert "is not a run CSV" in capsys.readouterr().err
@@ -295,6 +295,15 @@ def test_fit_rejects_non_positive_times(tmp_path, capsys):
     assert "strictly positive" in capsys.readouterr().err
     assert cli.main(["fit", "--input", str(path), "--column", "n",
                      "--window", "1,20"]) == 0
+
+
+def test_fit_rejects_a_window_of_equal_times(tmp_path, capsys):
+    # Twelve rows at one time used to print a RankWarning and exit 0.
+    path = tmp_path / "series.csv"
+    path.write_text("t_w,n\n" + "2.0,0.5\n" * 12)
+    assert cli.main(["fit", "--input", str(path), "--column", "n",
+                     "--window", "1,3"]) == cli.EXIT_CONFIG
+    assert "span no interval" in capsys.readouterr().err
 
 
 def test_scan_summary(tmp_path):
@@ -519,7 +528,7 @@ def test_oracle_corrupt_exit_code(capsys, monkeypatch):
 
     def perturbed(state, params):
         dn_k, dd_k = _split(exact(state, params))
-        return _pack(BcsState(state.t, dn_k, dd_k + 1e-3))
+        return BcsState(state.t, dn_k, dd_k + 1e-3).y
 
     monkeypatch.setattr(oracle, "rhs_total", perturbed)
     assert cli.main(["oracle", "--seeds", "2"]) == cli.EXIT_ORACLE

@@ -48,6 +48,26 @@ def test_params_validation():
 def test_state_shape_validation():
     with pytest.raises(ConfigurationError):
         BcsState(t=0.0, n_k=np.zeros(3), d_k=np.zeros(2, dtype=complex))
+    with pytest.raises(ConfigurationError, match="1-D"):
+        BcsState(t=0.0, n_k=np.zeros((2, 3)), d_k=np.zeros((2, 3), dtype=complex))
+
+
+def test_state_is_a_copy_and_direct_calls_return_fresh_arrays():
+    # A state copies its inputs into its own stack, and d_k is a copy of its
+    # planes. A direct rhs_total call writes a fresh array and leaves out
+    # unset and the state untouched.
+    grid = build_flat_band(1.0, 8)
+    params = SystemParams(u=1.0, gamma=0.1, pump=0.05, alpha=0.5, grid=grid)
+    state = random_state(np.random.default_rng(2), 8)
+    n_k = state.n_k.copy()
+    copy = BcsState(state.t, n_k, state.d_k)
+    assert not np.shares_memory(copy.n_k, n_k)
+    assert not np.shares_memory(copy.d_k, copy.y)
+    y = copy.y.copy()
+    first, second = rhs_total(copy, params), rhs_total(copy, params)
+    assert first is not second and not np.shares_memory(first, second)
+    assert first.tobytes() == second.tobytes()
+    assert copy.out is None and copy.y.tobytes() == y.tobytes()
 
 
 def test_density_and_order_parameter():
@@ -188,7 +208,8 @@ def test_rhs_matches_term_by_term_reference():
                     strided = np.empty(2 * m, dtype=complex)
                     strided[::2] = state.d_k
                     state = BcsState(t=0.0, n_k=state.n_k, d_k=strided[::2])
-                    assert not state.d_k.flags.c_contiguous
+                    assert state.d_k.tobytes() == strided[::2].tobytes()
+                    assert not np.shares_memory(state.y, strided)
                 dn, dd = reference_rhs(state, params)
                 dn_k, dd_k = _split(rhs_total(state, params))
                 worst = max(worst,

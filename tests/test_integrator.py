@@ -7,8 +7,7 @@ from scipy.integrate import simpson, solve_ivp
 from hybridbcs.dynamics import (
     BcsState,
     SystemParams,
-    _pack,
-    _unpack,
+    _split,
     density,
     order_parameter,
     rhs_total,
@@ -34,12 +33,20 @@ def test_protocol_validation():
         Protocol(sample_times=np.array([0.5, 0.5]))
     with pytest.raises(ConfigurationError, match="non-negative"):
         Protocol(sample_times=np.array([-0.5, 2.0]))
+    # NaN compares False with everything; it used to pass every check and
+    # leave a NaN row in the series.
+    for times in ([1.0, np.nan], [np.nan, 1.0], [np.nan], [1.0, np.inf]):
+        with pytest.raises(ConfigurationError, match="finite"):
+            Protocol(sample_times=np.array(times))
     # A sample before the initial time could never be recorded.
     grid, ground, params = loss_setup(8)
     late = BcsState(t=5.0, n_k=ground.n_k, d_k=ground.d_k)
     with pytest.raises(ConfigurationError, match="precedes"):
         run_protocol(late, params,
                      Protocol(sample_times=np.array([1.0, 6.0, 8.0])))
+    with pytest.raises(ConfigurationError, match="precedes"):
+        run_protocol(BcsState(t=np.nan, n_k=ground.n_k, d_k=ground.d_k), params,
+                     Protocol(sample_times=np.array([1.0])))
     # A mode outside [0, M) would be recorded under another mode's name, or
     # raise IndexError: numpy reads index -1 as mode M - 1.
     for modes in ((-1,), (8,), (3, 8)):
@@ -57,15 +64,16 @@ def test_fixed_step_order():
     t_end = 0.5
 
     def integrate(n_steps, weights):
-        y = _pack(ground)
+        y = ground.y
         k = np.empty((12, y.size))
         dt = t_end / n_steps
         for step in range(n_steps):
             t = step * dt
-            k[0] = rhs_total(_unpack(y, t), params)
+            k[0] = rhs_total(BcsState(t, *_split(y)), params)
             for i in range(1, 12):
                 stage = y + dt * (integrator._A[i, :i] @ k[:i])
-                k[i] = rhs_total(_unpack(stage, t + integrator._C[i] * dt), params)
+                k[i] = rhs_total(BcsState(t + integrator._C[i] * dt, *_split(stage)),
+                                 params)
             y = y + dt * (weights[:12] @ k)
         return y
 
@@ -78,22 +86,37 @@ def test_fixed_step_order():
         assert low < order < high, (low, order)
 
 
-def test_pack_layout_round_trip():
-    # y = [n_k..., Re Delta_k..., Im Delta_k...]: unpacking gives n_k as a
-    # view of y and Delta_k from its two planes, and packing them again gives
-    # y back bit for bit.
+def test_state_layout_round_trip():
+    # y = [n_k..., Re Delta_k..., Im Delta_k...] is planar, n_k shares its
+    # memory, and a state built from _split(y) gives y back bit for bit,
+    # signed zeros and infinities included.
     rng = np.random.default_rng(4)
-    state = BcsState(t=0.7, n_k=rng.uniform(0.0, 1.0, 6),
-                     d_k=rng.normal(size=6) + 1j * rng.normal(size=6))
-    y = _pack(state)
-    back = _unpack(y, state.t)
-    assert back.n_k.tobytes() == state.n_k.tobytes()
-    assert back.d_k.tobytes() == state.d_k.tobytes()
+    d_k = rng.normal(size=6) + 1j * rng.normal(size=6)
+    d_k[1], d_k[2] = complex(-0.0, -0.0), complex(-0.0, np.inf)
+    state = BcsState(t=0.7, n_k=rng.uniform(0.0, 1.0, 6), d_k=d_k)
+    y = state.y
+    assert (y[0], y[6], y[12], y[17]) == (state.n_k[0], d_k[0].real,
+                                          d_k[0].imag, d_k[5].imag)
+    assert np.shares_memory(state.n_k, y)
+    assert state.d_k.tobytes() == d_k.tobytes()
+    back = BcsState(state.t, *_split(y))
     assert back.t == state.t
-    assert (y[0], y[6], y[12], y[17]) == (state.n_k[0], state.d_k[0].real,
-                                          state.d_k[0].imag, state.d_k[5].imag)
-    assert np.shares_memory(back.n_k, y)
-    assert _pack(back).tobytes() == y.tobytes()
+    assert back.y.tobytes() == y.tobytes()
+
+
+def test_stepper_states_leave_the_stage_buffer_alone():
+    # stepper.state and sample(t) are BcsStates with out unset, so a direct
+    # rhs_total call on one writes a fresh array, not a row of the stage
+    # buffer that the next sample inside the same step reads.
+    grid, ground, params = loss_setup(16, alpha=0.5)
+    stepper = AdaptiveStepper(params, ground, 10.0, rtol=1e-9, atol=1e-12)
+    stepper.step()
+    t_mid = 0.5 * stepper.state.t
+    y_mid = stepper.sample(t_mid).y.copy()
+    for state in (stepper.state, stepper.sample(0.7 * stepper.state.t)):
+        assert isinstance(state, BcsState) and state.out is None
+        rhs_total(state, params)
+    assert stepper.sample(t_mid).y.tobytes() == y_mid.tobytes()
 
 
 def test_blowup_reports_mode_and_time():
@@ -319,9 +342,9 @@ def test_matches_scipy_reference():
                           rtol=1e-10, atol=1e-13)
 
     def rhs(t, y):
-        return rhs_total(_unpack(y, t), params)
+        return rhs_total(BcsState(t, *_split(y)), params)
 
-    sol = solve_ivp(rhs, (0.0, t_end), _pack(ground), rtol=1e-10, atol=1e-13,
+    sol = solve_ivp(rhs, (0.0, t_end), ground.y, rtol=1e-10, atol=1e-13,
                     method="RK45")
     n_ref = 2.0 * np.sum(grid.weights * sol.y[:64, -1])
     assert abs(series.n[-1] - n_ref) < 1e-7
