@@ -12,7 +12,6 @@ import copy
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -86,6 +85,8 @@ def resolve_config(raw):
         raise ConfigurationError("config key time.t_max_w must be positive")
     if cfg["time"]["samples"] < 2:
         raise ConfigurationError("config key time.samples must be at least 2")
+    if not os.path.basename(cfg["output"]["path"]):
+        raise ConfigurationError("config key output.path must name a file")
     return cfg
 
 
@@ -223,10 +224,10 @@ def _scan_one(cfg):
 
 
 def _scan_row(cfg):
-    """The status and _SUMMARY cells of one scan run; a failed run is a row too."""
+    """The status and _SUMMARY cells of one scan run; an integration failure is a row too."""
     try:
         return ["ok", *_scan_one(cfg)]
-    except (IntegrationError, ConfigurationError) as exc:
+    except IntegrationError as exc:
         return [f"failed: {exc}"] + [""] * len(_SUMMARY)
 
 
@@ -238,16 +239,9 @@ def cmd_scan(args):
         raise ConfigurationError(f"invalid scan values: {args.values}")
     if not values:
         raise ConfigurationError("scan needs at least one value")
-    if not all(map(math.isfinite, values)):
-        raise ConfigurationError(f"scan values must be finite: {args.values}")
     if args.workers < 1:
         raise ConfigurationError(f"--workers must be at least 1, got {args.workers}")
     section, key = _AXIS_KEYS[args.axis]
-    # No axis moves the grid, the horizon or the tolerances: check them once.
-    width = cfg["band"]["width"]
-    check_run(build_flat_band(width, cfg["band"]["n_modes"]), cfg["time"]["t_max_w"] / width,
-              **cfg["integrator"])
-
     root, ext = os.path.splitext(cfg["output"]["path"])
     ext = ext or ".csv"
     jobs = []
@@ -255,12 +249,15 @@ def cmd_scan(args):
         run_cfg = copy.deepcopy(cfg)
         run_cfg[section][key] = value
         run_cfg["output"]["path"] = f"{root}_{args.axis}_{value:g}{ext}"
+        _, params, protocol, initial = assemble(run_cfg)
+        check_run(initial, params, protocol, **run_cfg["integrator"])
         jobs.append(run_cfg)
     summary = f"{root}_{args.axis}_summary{ext}"
     _check_outputs(args.config, [*(path for job in jobs for path in run_outputs(
         job["output"]["path"])), summary])
 
-    with nullcontext() if args.workers == 1 else ProcessPoolExecutor(args.workers) as pool:
+    workers = min(args.workers, len(jobs))
+    with nullcontext() if workers == 1 else ProcessPoolExecutor(workers) as pool:
         rows = [[f"{value:g}", job["output"]["path"], *row] for value, job, row
                 in zip(values, jobs, (pool.map if pool else map)(_scan_row, jobs))]
     failures = sum(row[2] != "ok" for row in rows)
@@ -351,7 +348,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, NoGapSolutionError) as exc:
+    except (ConfigurationError, NoGapSolutionError, MemoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationError as exc:

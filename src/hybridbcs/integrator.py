@@ -106,16 +106,26 @@ _RTOL_FLOOR = 10 * np.finfo(float).eps  # dop853's floor: doubles cannot meet a 
 _SQUARES_MAX = 2.0 ** 900
 
 
-def check_run(grid, t_end, rtol, atol):
-    """Raise ConfigurationError unless a run on grid up to t_end can meet rtol and atol."""
+def check_run(initial, params, protocol, rtol, atol):
+    """Raise ConfigurationError unless run_protocol can start on these inputs: the state
+    fits the grid, the samples and modes can be recorded, and the run can meet rtol and
+    atol up to its last sample time, inside the revival guard."""
+    grid, times = params.grid, protocol.sample_times
+    if len(initial.n_k) != grid.n_modes:
+        raise ConfigurationError("initial state does not match the grid")
+    if not times[0] >= initial.t:
+        raise ConfigurationError(
+            f"first sample time {times[0]} precedes the initial time {initial.t}")
+    if not all(0 <= m < grid.n_modes for m in protocol.record_modes):
+        raise ConfigurationError(f"record_modes must lie in [0, {grid.n_modes})")
     if not (rtol > 0 and atol > 0):
         raise ConfigurationError("rtol and atol must be positive")
     if rtol <= _RTOL_FLOOR:
         raise ConfigurationError(f"rtol must exceed {_RTOL_FLOOR:.1e}, 10 machine epsilons")
     guard = 0.4 * revival_time(grid)
-    if not t_end <= guard:
+    if not times[-1] <= guard:
         raise ConfigurationError(
-            f"last sample time {t_end} exceeds the dephasing revival guard {guard:.3g}; "
+            f"last sample time {times[-1]} exceeds the dephasing revival guard {guard:.3g}; "
             "increase n_modes")
 
 
@@ -143,7 +153,6 @@ class AdaptiveStepper:
 
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, params, initial, t_end, rtol, atol):
-        check_run(params.grid, t_end, rtol, atol)
         self.params = params
         self.t_end = t_end
         self.rtol = rtol
@@ -253,7 +262,11 @@ class Protocol:
     def __post_init__(self):
         times = np.asarray(self.sample_times, dtype=float)
         object.__setattr__(self, "sample_times", times)
-        object.__setattr__(self, "record_modes", tuple(int(m) for m in self.record_modes))
+        # int() would truncate a float mode and read True as mode 1.
+        if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool)
+                   for m in self.record_modes):
+            raise ConfigurationError("record_modes must be integers")
+        object.__setattr__(self, "record_modes", tuple(map(int, self.record_modes)))
         # Written so that NaN fails each comparison.
         if times.size == 0 or not (np.all(np.diff(times) > 0) and np.isfinite(times[-1])):
             raise ConfigurationError("sample_times must be finite and strictly increasing")
@@ -298,16 +311,8 @@ def run_protocol(initial, params, protocol, rtol=1e-9, atol=1e-12):
     The quench is instantaneous: the rates act from initial.t on with no
     ramping. Raises IntegrationError subclasses carrying the failure time.
     """
-    grid = params.grid
-    if len(initial.n_k) != grid.n_modes:
-        raise ConfigurationError("initial state does not match the grid")
-    if not protocol.sample_times[0] >= initial.t:
-        raise ConfigurationError(
-            f"first sample time {protocol.sample_times[0]} precedes the initial "
-            f"time {initial.t}")
-    modes = np.array(protocol.record_modes, dtype=int)
-    if not np.all((modes >= 0) & (modes < grid.n_modes)):
-        raise ConfigurationError(f"record_modes must lie in [0, {grid.n_modes})")
+    check_run(initial, params, protocol, rtol, atol)
+    grid, modes = params.grid, np.array(protocol.record_modes, dtype=int)
     n_samples, n_tracked = len(protocol.sample_times), len(modes)
     series = TimeSeries(
         t=protocol.sample_times.copy(), n=np.empty(n_samples),

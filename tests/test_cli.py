@@ -396,16 +396,35 @@ def test_scan_tolerates_single_failed_run(tmp_path, monkeypatch):
 
 
 def test_pooled_scan_reports_a_failed_run(tmp_path):
-    # A run that fails in a pool worker becomes its own failed row.
-    config_path = write_config(tmp_path, base_config(tmp_path, samples=15))
-    assert cli.main(["scan", "--config", config_path, "--axis", "alpha",
-                     "--values", "1.5,0.5", "--workers", "2"]) == cli.EXIT_INTEGRATION
-    with open(tmp_path / "out_alpha_summary.csv", newline="") as handle:
+    # A run that fails in a pool worker becomes its own failed row. A rate of
+    # 1e6 U is stiff enough to spend the step budget of 1000 + 100 W t_end.
+    cfg = base_config(tmp_path, t_max_w=5.0, samples=15)
+    cfg["band"]["n_modes"] = 16
+    config_path = write_config(tmp_path, cfg)
+    assert cli.main(["scan", "--config", config_path, "--axis", "gamma",
+                     "--values", "1e6,0.08", "--workers", "2"]) == cli.EXIT_INTEGRATION
+    with open(tmp_path / "out_gamma_summary.csv", newline="") as handle:
         rows = list(csv.reader(handle))
-    assert [row[:3] for row in rows[1:]] == [
-        ["1.5", str(tmp_path / "out_alpha_1.5.csv"), "failed: alpha must lie in [0, 1]"],
-        ["0.5", str(tmp_path / "out_alpha_0.5.csv"), "ok"]]
+    assert [row[:2] for row in rows[1:]] == [
+        ["1e+06", str(tmp_path / "out_gamma_1e+06.csv")],
+        ["0.08", str(tmp_path / "out_gamma_0.08.csv")]]
+    assert rows[1][2].startswith("failed: step budget 1500 exhausted")
     assert rows[1][3:] == [""] * len(cli._SUMMARY)
+    assert rows[2][2] == "ok"
+
+
+@pytest.mark.parametrize("axis, values, message", [
+    ("alpha", "0.5,1.5", "alpha must lie in [0, 1]"),
+    ("gamma", "0.08,-0.1", "must be finite and non-negative"),
+])
+def test_scan_exits_2_before_any_run_on_a_bad_value(tmp_path, capsys, axis, values, message):
+    # Every value's run is checked before the first one starts, as `run` checks
+    # its one run; a bad value used to become a failed row, after the good runs.
+    config_path = write_config(tmp_path, base_config(tmp_path, samples=15))
+    assert cli.main(["scan", "--config", config_path, "--axis", axis,
+                     "--values", values, "--workers", "2"]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 @pytest.mark.parametrize("section, key, value, message", [
@@ -478,8 +497,61 @@ def test_output_overwriting_an_output_or_the_config_exit_code(
     assert (tmp_path / config_name).read_bytes() == before
 
 
+@pytest.mark.parametrize("path", ["", "runs/"])
+def test_output_path_naming_no_file_exit_code(tmp_path, capsys, path):
+    # An empty path used to run the whole integration, then fail to open ''
+    # with a traceback and exit 1.
+    cfg = base_config(tmp_path, samples=15)
+    cfg["output"]["path"] = path
+    config_path = write_config(tmp_path, cfg)
+    for argv in (["run"], ["scan", "--axis", "gamma", "--values", "0.08"]):
+        assert cli.main([*argv, "--config", config_path]) == cli.EXIT_CONFIG
+        assert "output.path must name a file" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_a_config_too_large_to_allocate_exit_code(tmp_path, capsys, monkeypatch):
+    # numpy raises MemoryError for an array it cannot allocate; it used to end
+    # in a traceback and exit 1. The stand-in raises it without allocating.
+    def too_large(width, n_modes):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "build_flat_band", too_large)
+    config_path = write_config(tmp_path, base_config(tmp_path, samples=15))
+    for argv in (["run"], ["scan", "--axis", "gamma", "--values", "0.08,0.16"]):
+        assert cli.main([*argv, "--config", config_path]) == cli.EXIT_CONFIG
+        assert "Unable to allocate 7.28 TiB" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_scan_pool_has_no_more_workers_than_runs(tmp_path, monkeypatch):
+    # The pool starts every worker at its first task, so a larger pool than
+    # there are runs forks idle processes; one run needs no pool at all. The
+    # stand-in maps in this process and refuses more than two workers.
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            assert max_workers <= 2, max_workers
+            sizes.append(max_workers)
+            self.map = map
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    config_path = write_config(tmp_path, base_config(tmp_path, samples=15))
+    for values in ("0.08", "0.08,0.16"):
+        assert cli.main(["scan", "--config", config_path, "--axis", "gamma",
+                         "--values", values, "--workers", "6"]) == 0
+    assert sizes == [2]
+
+
 def test_scan_propagates_programming_errors(tmp_path, monkeypatch):
-    # Only integration and configuration failures become "failed" rows.
+    # Only integration failures become "failed" rows.
     def broken(job):
         raise TypeError("synthetic bug")
 

@@ -11,11 +11,12 @@ from hybridbcs.dynamics import (
     density,
     order_parameter,
     particle_hole_transform,
+    pseudospin,
     rhs_total,
 )
 from hybridbcs.errors import BlowupError, ConfigurationError
 from hybridbcs.lattice import BandGrid, build_flat_band
-from hybridbcs.oracle import MomentumCluster
+from hybridbcs.oracle import MomentumCluster, random_physical_state
 
 
 def single_mode_grid():
@@ -285,6 +286,26 @@ def test_pure_shell_zeta_decay_rate():
         params = SystemParams(u=1.0, gamma=0.3, pump=0.0, alpha=alpha, grid=grid)
         dz = zeta_dot(state, rhs_total(state, params))
         assert np.max(np.abs(dz + 4.0 * alpha * 0.3 * n * state.n_k)) < 1e-13
+
+
+def test_loss_splits_into_pair_depletion_and_off_shell_loss():
+    # With P = 0 and Delta = 0 the generator's loss is, mode by mode,
+    #   dn_k/dt = -Gamma n [alpha n_k + (1 - alpha)(2 |Delta_k|^2 + (1 - zeta_k)/4)]:
+    # single-particle loss alpha n_k, pair depletion 2 |Delta_k|^2, and a loss
+    # (1 - zeta_k)/4 on the off-shell part of the mode, which the unit shell removes.
+    grid = build_flat_band(1.0, 64)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        drawn = random_physical_state(rng, 64)
+        state = BcsState(0.0, drawn.n_k, drawn.d_k - grid.weights @ drawn.d_k)
+        assert abs(order_parameter(state, grid)) < 1e-15
+        n, zeta_k = density(state, grid), pseudospin(state, grid)[3]
+        pairs, off_shell = 2.0 * np.abs(state.d_k) ** 2, (1.0 - zeta_k) / 4.0
+        for alpha in (0.0, 0.5, 1.0):
+            params = SystemParams(u=1.0, gamma=0.3, pump=0.0, alpha=alpha, grid=grid)
+            dn_k = _split(rhs_total(state, params))[0]
+            law = -0.3 * n * (alpha * state.n_k + (1.0 - alpha) * (pairs + off_shell))
+            assert np.max(np.abs(dn_k - law)) <= 1e-14
 
 
 def test_particle_hole_duality():

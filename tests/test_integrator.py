@@ -15,7 +15,7 @@ from hybridbcs.dynamics import (
 from hybridbcs.equilibrium import build_ground_state, solve_gap
 from hybridbcs import integrator
 from hybridbcs.errors import BlowupError, ConfigurationError, StepUnderflowError
-from hybridbcs.integrator import AdaptiveStepper, Protocol, run_protocol
+from hybridbcs.integrator import AdaptiveStepper, Protocol, check_run, run_protocol
 from hybridbcs.lattice import build_flat_band
 
 
@@ -53,6 +53,13 @@ def test_protocol_validation():
         with pytest.raises(ConfigurationError, match="record_modes"):
             run_protocol(ground, params, Protocol(sample_times=np.array([1.0]),
                                                   record_modes=modes))
+    # A float or bool mode used to be truncated: (1.7, True, 2.9) read (1, 1, 2).
+    for modes in ((1.7,), (True,), (np.float64(2.9),), (2, np.True_)):
+        with pytest.raises(ConfigurationError, match="record_modes must be integers"):
+            Protocol(sample_times=np.array([1.0]), record_modes=modes)
+    protocol = Protocol(sample_times=np.array([1.0]), record_modes=(np.int64(2), 3))
+    assert protocol.record_modes == (2, 3)
+    assert all(type(m) is int for m in protocol.record_modes)
 
 
 def test_fixed_step_order():
@@ -240,15 +247,19 @@ def test_tolerances_must_be_positive_and_reachable():
     # An rtol at or below 10 machine epsilons (Hairer's dop853 floor) used to
     # end in StepUnderflowError (1e-30) or a NaN first step (1e-300).
     grid, ground, params = loss_setup(16, alpha=0.5)
+    protocol = Protocol(sample_times=np.array([4.0]))
     floor = 10 * np.finfo(float).eps
     for rtol, atol in ((1e-300, 1e-300), (1e-30, 1e-30), (floor, 1e-15), (1e-16, 1.0)):
         with pytest.raises(ConfigurationError, match="rtol must exceed 2.2e-15"):
-            AdaptiveStepper(params, ground, 4.0, rtol=rtol, atol=atol)
+            check_run(ground, params, protocol, rtol=rtol, atol=atol)
     for rtol, atol in ((0.0, 1e-12), (-1e-9, 1e-12), (1e-9, 0.0), (1e-9, -1.0),
                        (np.nan, 1e-12), (1e-9, np.nan)):
         with pytest.raises(ConfigurationError, match="rtol and atol must be positive"):
-            AdaptiveStepper(params, ground, 4.0, rtol=rtol, atol=atol)
-    AdaptiveStepper(params, ground, 4.0, rtol=np.nextafter(floor, 1.0), atol=1e-15)
+            check_run(ground, params, protocol, rtol=rtol, atol=atol)
+    check_run(ground, params, protocol, rtol=np.nextafter(floor, 1.0), atol=1e-15)
+    # run_protocol makes the same check before its first step.
+    with pytest.raises(ConfigurationError, match="rtol must exceed"):
+        run_protocol(ground, params, protocol, rtol=floor, atol=1e-15)
 
 
 def test_dop853_global_order():

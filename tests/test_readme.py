@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import json
 import re
 from pathlib import Path
@@ -47,3 +49,27 @@ def test_private_names_in_readme_are_defined():
              for module, name in re.findall(r"`(?:(\w+)\.)?(_\w+)`", README.read_text())
              if name not in (defined.get(module, ()) if module else anywhere)]
     assert not stale, stale
+
+
+def test_signatures_in_readme_match_the_code():
+    # Every backticked call `name(a, b)` or `module.name(a, b)` of a hybridbcs
+    # function or class whose arguments are all names gives the leading
+    # parameter names of its signature, so a signature change must reach README.
+    modules = {path.stem: importlib.import_module(f"hybridbcs.{path.stem}")
+               for path in SRC.glob("*.py") if path.stem != "__init__"}
+    public = {name: obj for module in modules.values() for name, obj in vars(module).items()
+              if (inspect.isfunction(obj) or inspect.isclass(obj))
+              and obj.__module__.startswith("hybridbcs.")}
+    stale, checked = [], 0
+    for module, name, args in re.findall(r"`(?:(\w+)\.)?(\w+)\(([^`()]*)\)`",
+                                         README.read_text()):
+        if module and module not in modules:  # a method, as in `cluster.random_state(rng)`
+            continue
+        obj = getattr(modules[module], name, None) if module else public.get(name)
+        args = [arg.strip() for arg in args.split(",")] if args.strip() else []
+        if obj is None or not all(arg.isidentifier() for arg in args):
+            continue
+        checked += 1
+        if list(inspect.signature(obj).parameters)[:len(args)] != args:
+            stale.append(f"{module + '.' if module else ''}{name}({', '.join(args)})")
+    assert checked and not stale, stale
