@@ -197,7 +197,8 @@ def cmd_run(args):
 
 
 _AXIS_KEYS = {"alpha": ("dissipation", "alpha"), "gamma": ("dissipation", "gamma_over_u"),
-              "pump": ("dissipation", "p_over_u")}
+              "pump": ("dissipation", "p_over_u"), "n_modes": ("band", "n_modes"),
+              "rtol": ("integrator", "rtol")}
 
 
 # The per-run columns of a scan summary, with their formats.
@@ -244,11 +245,15 @@ def cmd_scan(args):
     section, key = _AXIS_KEYS[args.axis]
     root, ext = os.path.splitext(cfg["output"]["path"])
     ext = ext or ".csv"
-    jobs = []
+    labels, jobs = [], []
     for value in values:
+        if key == "n_modes" and value.is_integer():  # 2.5, NaN, inf stay floats: refused
+            value = int(value)  # named by its digits: %g prints 1048576 and 1048578 alike
+        labels.append(str(value) if isinstance(value, int) else f"{value:g}")
         run_cfg = copy.deepcopy(cfg)
         run_cfg[section][key] = value
-        run_cfg["output"]["path"] = f"{root}_{args.axis}_{value:g}{ext}"
+        run_cfg["output"]["path"] = f"{root}_{args.axis}_{labels[-1]}{ext}"
+        run_cfg = resolve_config(run_cfg)
         _, params, protocol, initial = assemble(run_cfg)
         check_run(initial, params, protocol, **run_cfg["integrator"])
         jobs.append(run_cfg)
@@ -258,8 +263,8 @@ def cmd_scan(args):
 
     workers = min(args.workers, len(jobs))
     with nullcontext() if workers == 1 else ProcessPoolExecutor(workers) as pool:
-        rows = [[f"{value:g}", job["output"]["path"], *row] for value, job, row
-                in zip(values, jobs, (pool.map if pool else map)(_scan_row, jobs))]
+        rows = [[label, job["output"]["path"], *row] for label, job, row
+                in zip(labels, jobs, (pool.map if pool else map)(_scan_row, jobs))]
     failures = sum(row[2] != "ok" for row in rows)
 
     with open(summary, "w", newline="") as handle:

@@ -109,7 +109,8 @@ _SQUARES_MAX = 2.0 ** 900
 def check_run(initial, params, protocol, rtol, atol):
     """Raise ConfigurationError unless run_protocol can start on these inputs: the state
     fits the grid, the samples and modes can be recorded, and the run can meet rtol and
-    atol up to its last sample time, inside the revival guard."""
+    atol up to its last sample time, inside the revival guard. run_protocol calls it
+    first and scan on every value before its first run; AdaptiveStepper checks none."""
     grid, times = params.grid, protocol.sample_times
     if len(initial.n_k) != grid.n_modes:
         raise ConfigurationError("initial state does not match the grid")
@@ -145,9 +146,12 @@ class AdaptiveStepper:
     filled by __init__ and copied into row 0 as a step starts, so sample() finds
     the last step's stages intact. Two BcsState copies of initial take turns as
     self.state and the stage target, in whose stack rows each stage is combined
-    before rhs_total writes f into its row of the buffer; overflow there is
-    silenced and reported by rhs_total's finite check. An attempt costs twelve RHS
-    evaluations and a step sample() reads three more; n_evals counts all,
+    before rhs_total writes f into its row of the buffer, so a step allocates and
+    copies no state-sized array. Their out is None between calls, so rhs_total
+    called on self.state or on sample()'s state writes a fresh array. Overflow in
+    the stages is silenced once per __init__ or _stages call, not per RHS
+    evaluation, and reported by rhs_total's finite check. An attempt costs twelve
+    RHS evaluations and a step sample() reads three more; n_evals counts all,
     n_dense those steps. self.dt is the next step's proposal.
     """
 

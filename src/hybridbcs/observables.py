@@ -94,10 +94,13 @@ def detect_plateau(t, y):
     flat trend (see _local_log_slopes). A plateau must span at least
     _PLATEAU_MIN_RATIO in time. The last such window wins, which skips an
     initial frozen transient in favor of the late quasi-steady regime.
-    t must increase. Returns found=False when no qualifying window exists.
+    t must increase and be positive: at t[0] = 0 a single sample would span
+    the factor in time. Returns found=False when no qualifying window exists.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not np.all(t > 0):  # NaN fails this
+        raise ConfigurationError("plateau detection requires strictly positive times")
     if np.any(y <= 0) or len(t) < 3:
         return PlateauReport(False, np.nan, (np.nan, np.nan))
     slope = _local_log_slopes(np.log(t), np.log(y))

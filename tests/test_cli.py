@@ -579,6 +579,77 @@ def test_scan_workers_give_identical_output(tmp_path):
         assert serial == pooled
 
 
+def read_summary(path):
+    with open(path, newline="") as handle:
+        return list(csv.reader(handle))
+
+
+def test_scan_n_modes_serial_and_pooled_are_identical(tmp_path):
+    cfg = base_config(tmp_path, samples=15)
+    summaries = []
+    for name, workers in (("serial", "1"), ("pooled", "2")):
+        cfg["output"]["path"] = str(tmp_path / f"{name}.csv")
+        config_path = write_config(tmp_path, cfg, f"{name}.json")
+        assert cli.main(["scan", "--config", config_path, "--axis", "n_modes",
+                         "--values", "16,32.0", "--workers", workers]) == 0
+        summaries.append(read_summary(tmp_path / f"{name}_n_modes_summary.csv"))
+        sidecar = json.loads((tmp_path / f"{name}_n_modes_32.json").read_text())
+        assert sidecar["config"]["band"]["n_modes"] == 32
+    serial, pooled = ([row[:1] + row[2:] for row in rows] for rows in summaries)
+    assert serial == pooled
+    assert [row[:2] for row in serial] == [["n_modes", "status"], ["16", "ok"], ["32", "ok"]]
+    assert serial[1][2] != serial[2][2]  # two grids, two final densities
+
+
+@pytest.mark.parametrize("values, message", [
+    ("16,2048.5", "band.n_modes must be int"),
+    ("16,nan", "band.n_modes must be int"),
+    ("16,inf", "band.n_modes must be int"),
+    ("16,15", "n_modes must be an even integer"),
+    ("16,1e30", "band.n_modes must be at most"),
+])
+def test_scan_exits_2_before_any_run_on_a_bad_n_modes(tmp_path, capsys, values, message):
+    # Each value's config goes through the schema pass: without it, 2048.0 would
+    # reach np.full as a float (TypeError) and 1e30 would overflow numpy's array
+    # size (ValueError), both tracebacks with exit 1.
+    config_path = write_config(tmp_path, base_config(tmp_path, samples=15))
+    assert cli.main(["scan", "--config", config_path, "--axis", "n_modes",
+                     "--values", values]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_scan_names_n_modes_runs_by_their_exact_integer(tmp_path, monkeypatch):
+    # %g prints 1048576 and 1048578 alike, so the output-collision check would
+    # refuse the scan. Nothing is built or run here: only the names are checked.
+    monkeypatch.setattr(cli, "assemble", lambda cfg: (None,) * 4)
+    monkeypatch.setattr(cli, "check_run", lambda *args, **kwargs: None)
+    monkeypatch.setattr(cli, "_scan_row", lambda cfg: ["ok"] + [""] * len(cli._SUMMARY))
+    config_path = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["scan", "--config", config_path, "--axis", "n_modes",
+                     "--values", "1048576,1048578"]) == 0
+    rows = read_summary(tmp_path / "out_n_modes_summary.csv")
+    assert [row[:2] for row in rows[1:]] == [
+        ["1048576", str(tmp_path / "out_n_modes_1048576.csv")],
+        ["1048578", str(tmp_path / "out_n_modes_1048578.csv")]]
+
+
+def test_scan_rtol(tmp_path):
+    config_path = write_config(tmp_path, base_config(tmp_path, samples=15))
+    assert cli.main(["scan", "--config", config_path, "--axis", "rtol",
+                     "--values", "1e-7,1e-10"]) == 0
+    rows = read_summary(tmp_path / "out_rtol_summary.csv")
+    assert [row[:3] for row in rows[1:]] == [
+        ["1e-07", str(tmp_path / "out_rtol_1e-07.csv"), "ok"],
+        ["1e-10", str(tmp_path / "out_rtol_1e-10.csv"), "ok"]]
+    loose, tight = (json.loads((tmp_path / f"out_rtol_{v}.json").read_text())
+                    for v in ("1e-07", "1e-10"))
+    assert (loose["integrator"]["rtol"], tight["integrator"]["rtol"]) == (1e-7, 1e-10)
+    assert loose["integrator"]["steps"] < tight["integrator"]["steps"]
+    n_final = [float(row[3]) for row in rows[1:]]
+    assert abs(n_final[0] - n_final[1]) < 1e-6 * n_final[1]
+
+
 def test_scan_workers_below_one_exit_code(tmp_path):
     config_path = write_config(tmp_path, base_config(tmp_path, samples=15))
     for workers in ("0", "-3"):

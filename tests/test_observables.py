@@ -153,6 +153,15 @@ def test_detect_plateau_handles_bad_input():
     assert not detect_plateau(t, np.zeros(20)).found
 
 
+def test_detect_plateau_rejects_non_positive_times():
+    # With t[0] = 0 the width test t[end] >= 2 t[start] passed for one sample,
+    # so a decaying series reported found=True, value 1.0 on (0.0, 0.0).
+    t = np.linspace(0.0, 10.0, 50)
+    for times in (t, t - 1.0, np.where(t == t[3], np.nan, t + 1.0)):
+        with pytest.raises(ConfigurationError, match="strictly positive times"):
+            detect_plateau(times, np.exp(-t))
+
+
 def make_series(t, sz, energies):
     m = sz.shape[1]
     empty = np.zeros((len(t), m))

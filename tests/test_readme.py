@@ -73,3 +73,21 @@ def test_signatures_in_readme_match_the_code():
         if list(inspect.signature(obj).parameters)[:len(args)] != args:
             stale.append(f"{module + '.' if module else ''}{name}({', '.join(args)})")
     assert checked and not stale, stale
+
+
+def functions_in(path):
+    """The names of the module-level functions of a Python file; none if it is missing."""
+    if not path.exists():
+        return set()
+    return {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_test_references_in_readme_exist():
+    # Every backticked `test_file::test_name` (or `tests/test_file.py::test_name`)
+    # names a test function of that file, so a law cannot go on citing a test
+    # after it is renamed or deleted.
+    refs = re.findall(r"`(?:tests/)?(test_\w+?)(?:\.py)?::(\w+)`", README.read_text())
+    stale = [f"{module}::{name}" for module, name in refs
+             if name not in functions_in(README.parent / "tests" / f"{module}.py")]
+    assert refs and not stale, stale
