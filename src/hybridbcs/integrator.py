@@ -123,7 +123,7 @@ def check_run(initial, params, protocol, rtol, atol):
         raise ConfigurationError("rtol and atol must be positive")
     if rtol <= _RTOL_FLOOR:
         raise ConfigurationError(f"rtol must exceed {_RTOL_FLOOR:.1e}, 10 machine epsilons")
-    guard = 0.4 * revival_time(grid)
+    guard = initial.t + 0.4 * revival_time(grid)  # dephasing runs from initial.t
     if not times[-1] <= guard:
         raise ConfigurationError(
             f"last sample time {times[-1]} exceeds the dephasing revival guard {guard:.3g}; "

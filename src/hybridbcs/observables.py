@@ -101,6 +101,8 @@ def detect_plateau(t, y):
     y = np.asarray(y, dtype=float)
     if not np.all(t > 0):  # NaN fails this
         raise ConfigurationError("plateau detection requires strictly positive times")
+    if not np.all(np.diff(t) > 0):
+        raise ConfigurationError("plateau detection requires strictly increasing times")
     if np.any(y <= 0) or len(t) < 3:
         return PlateauReport(False, np.nan, (np.nan, np.nan))
     slope = _local_log_slopes(np.log(t), np.log(y))

@@ -665,6 +665,16 @@ def test_oracle_command(capsys):
     assert "all checks passed" in out
 
 
+def test_oracle_sites_reach_every_propagator_report(capsys, monkeypatch):
+    built = []
+    cluster = oracle.MomentumCluster
+    monkeypatch.setattr(oracle, "MomentumCluster",
+                        lambda n_sites: built.append(n_sites) or cluster(n_sites))
+    assert cli.main(["oracle", "--seeds", "2", "--sites", "3"]) == 0
+    assert capsys.readouterr().out.count("[PASS]") == 4
+    assert built == [3, 3, 3]  # one cluster per propagator suite
+
+
 def test_oracle_corrupt_exit_code(capsys, monkeypatch):
     # A 1e-3 error in dDelta_k must fail the oracle with its exit code.
     exact = oracle.rhs_total

@@ -375,6 +375,21 @@ def test_revival_guard():
     assert series.t[-1] == inside
 
 
+def test_revival_guard_measures_elapsed_time():
+    # The dephasing kernel depends on t - initial.t, so the guard (~80.4 at 64
+    # modes) bounds the time elapsed since the initial state, not the clock.
+    grid, ground, params = loss_setup(64)
+    for t0, times, refused in ((-1000.0, [10.0, 60.0], True), (100.0, [105.0, 110.0], False),
+                               (100.0, [105.0, 181.0], True)):
+        initial = BcsState(t=t0, n_k=ground.n_k, d_k=ground.d_k)
+        protocol = Protocol(sample_times=np.array(times))
+        if refused:
+            with pytest.raises(ConfigurationError, match=f"revival guard {t0 + 80.4:.3g}"):
+                check_run(initial, params, protocol, 1e-9, 1e-12)
+        else:
+            check_run(initial, params, protocol, 1e-9, 1e-12)
+
+
 def test_pure_loss_density_closed_form():
     # alpha = 1 with Delta = 0 and uniform n_k: the sum rule reduces to
     # dn/dt = -Gamma n^2, so n(t) = n0 / (1 + Gamma n0 t) and Delta stays 0.

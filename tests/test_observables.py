@@ -162,6 +162,17 @@ def test_detect_plateau_rejects_non_positive_times():
             detect_plateau(times, np.exp(-t))
 
 
+def test_detect_plateau_rejects_decreasing_times():
+    # Flat to t = 30 and falling as 1/t after it: the reversed samples used to
+    # give found=False with no error.
+    t = np.geomspace(1.0, 1000.0, 200)
+    y = np.minimum(1.0, 30.0 / t)
+    assert detect_plateau(t, y).found
+    for times, values in ((t[::-1], y[::-1]), (np.repeat(t, 2), np.repeat(y, 2))):
+        with pytest.raises(ConfigurationError, match="strictly increasing times"):
+            detect_plateau(times, values)
+
+
 def make_series(t, sz, energies):
     m = sz.shape[1]
     empty = np.zeros((len(t), m))

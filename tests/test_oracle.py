@@ -14,7 +14,6 @@ from hybridbcs.dynamics import BcsState, _split
 from hybridbcs.errors import ConfigurationError
 from hybridbcs.oracle import (
     MomentumCluster,
-    exact_hybrid_rhs,
     propagated_rhs,
     random_physical_state,
     run_all_checks,
@@ -23,6 +22,9 @@ from hybridbcs.oracle import (
     run_nh_suite,
     run_norm_conserving_suite,
 )
+
+
+PROPAGATOR_SUITES = (run_eom_suite, run_norm_conserving_suite, run_nh_suite)
 
 
 def test_car_relations():
@@ -164,11 +166,11 @@ def test_exact_rhs_dimension_mismatch():
     cluster = MomentumCluster(2)
     rho = np.eye(cluster.dim) / cluster.dim
     with pytest.raises(ConfigurationError):
-        exact_hybrid_rhs(rho, np.eye(4), [], 1.0, cluster.observables[0])
-    # Observable stacks whose last dimension does not match the state.
-    for shape in ((4, 8, 8), (4, cluster.dim, 8)):
+        propagated_rhs(rho, np.eye(4), [], 1.0, cluster.observables[0])
+    # Observable stacks whose matrices do not match the state.
+    for shape in ((4, 8, 8), (4, cluster.dim, 8), (4, 8, cluster.dim)):
         with pytest.raises(ConfigurationError):
-            exact_hybrid_rhs(rho, np.eye(cluster.dim), [], 1.0, np.zeros(shape))
+            propagated_rhs(rho, np.eye(cluster.dim), [], 1.0, np.zeros(shape))
 
 
 @pytest.mark.parametrize("n_sites", [2, 3])
@@ -181,8 +183,8 @@ def test_exact_rhs_stack_matches_single_observables(n_sites):
     for gamma, pump in ((0.0, 0.0), (0.3, 0.0), (0.3, 0.25)):
         jumps = cluster.jump_operators(gamma, pump)
         for alpha in (0.0, 0.5, 1.0):
-            stacked = exact_hybrid_rhs(rho, h, jumps, alpha, cluster.observables)
-            one_by_one = [exact_hybrid_rhs(rho, h, jumps, alpha, op)
+            stacked = propagated_rhs(rho, h, jumps, alpha, cluster.observables)
+            one_by_one = [propagated_rhs(rho, h, jumps, alpha, op)
                           for op in singles]
             assert stacked.shape == (2 * n_sites,)
             assert np.max(np.abs(stacked - one_by_one)) <= 1e-14, (gamma, pump, alpha)
@@ -196,10 +198,10 @@ def test_exact_rhs_lindblad_trace_preserved():
     rho = cluster.gaussian_state(state)
     h = cluster.mean_field_hamiltonian(np.mean(state.d_k), 1.0)
     jumps = cluster.jump_operators(0.3, 0.2)
-    val = exact_hybrid_rhs(rho, h, jumps, 1.0, np.eye(cluster.dim))
+    val = propagated_rhs(rho, h, jumps, 1.0, np.eye(cluster.dim))
     assert abs(val) < 1e-13
     # And for any alpha: normalization makes <1> constant by construction.
-    val = exact_hybrid_rhs(rho, h, jumps, 0.3, np.eye(cluster.dim))
+    val = propagated_rhs(rho, h, jumps, 0.3, np.eye(cluster.dim))
     assert abs(val) < 1e-13
 
 
@@ -209,14 +211,16 @@ def test_eom_suite_two_sites():
 
 
 def test_eom_suite_three_sites():
-    report = run_eom_suite(seeds=3, n_sites=3)
-    assert report.passed, str(report)
+    for suite in PROPAGATOR_SUITES:
+        report = suite(seeds=3, n_sites=3)
+        assert report.passed, str(report)
 
 
 def test_eom_suite_catches_corruption(monkeypatch):
-    # Negative controls: a 1e-3 perturbation of one mode of either equation,
-    # or rhs_total evaluated at a slightly wrong alpha, must trip the 1e-10
-    # gate, and the report names the perturbed operator and mode.
+    # Negative controls for each propagator suite: a 1e-3 perturbation of one
+    # mode of either equation, or rhs_total evaluated at an alpha 0.05 off (down
+    # from alpha = 1), must trip the 1e-12 gate, and the report names the
+    # perturbed operator and mode.
     exact = oracle.rhs_total
 
     def shifted(shift_n, shift_d):
@@ -226,17 +230,19 @@ def test_eom_suite_catches_corruption(monkeypatch):
         return perturbed
 
     def wrong_alpha(state, params):
-        return exact(state, dataclasses.replace(params, alpha=min(params.alpha + 0.05, 1.0)))
+        step = 0.05 if params.alpha < 1.0 else -0.05
+        return exact(state, dataclasses.replace(params, alpha=params.alpha + step))
 
     mode_1 = np.array([0.0, 1e-3])
-    for perturbed, detail in ((shifted(mode_1, 0.0), "operator=n_k mode=1 "),
-                              (shifted(0.0, mode_1), "operator=Delta_k mode=1 "),
-                              (wrong_alpha, "")):
-        monkeypatch.setattr(oracle, "rhs_total", perturbed)
-        report = run_eom_suite(seeds=2, n_sites=2)
-        assert not report.passed
-        assert report.worst_residual > 1e-4
-        assert detail in report.detail, report.detail
+    for suite in PROPAGATOR_SUITES:
+        for perturbed, detail in ((shifted(mode_1, 0.0), "operator=n_k mode=1 "),
+                                  (shifted(0.0, mode_1), "operator=Delta_k mode=1 "),
+                                  (wrong_alpha, "")):
+            monkeypatch.setattr(oracle, "rhs_total", perturbed)
+            report = suite(seeds=2, n_sites=2)
+            assert not report.passed, (suite.__name__, str(report))
+            assert report.worst_residual > 1e-4, (suite.__name__, str(report))
+            assert detail in report.detail, report.detail
 
 
 def test_nan_residual_fails_eom_suite_and_cli(monkeypatch, capsys):
@@ -254,12 +260,12 @@ def test_nan_residual_fails_eom_suite_and_cli(monkeypatch, capsys):
     assert not report.passed
     assert report.worst_residual == np.inf
     assert cli.main(["oracle", "--seeds", "2"]) == cli.EXIT_ORACLE
-    assert "[FAIL] eom-equivalence" in capsys.readouterr().out
+    assert "[FAIL] hybrid-propagator" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("target, fake, suite", [
     ("check_hf_trace_identity", lambda **kwargs: np.nan, run_hf_suite),
-    ("exact_hybrid_rhs", lambda *args: np.nan, run_nh_suite),
+    ("propagated_rhs", lambda *args: np.nan, run_eom_suite),
     ("propagated_rhs", lambda *args: np.nan, run_norm_conserving_suite),
     ("propagated_rhs", lambda *args: np.nan, run_nh_suite),
 ])
@@ -268,38 +274,25 @@ def test_nan_residual_fails_the_other_suites(monkeypatch, target, fake, suite):
     assert not suite(seeds=2).passed
 
 
-def mutated_reference(mutation):
-    """exact_hybrid_rhs with one term changed where alpha is strictly inside (0, 1)."""
-    exact = oracle.exact_hybrid_rhs
-
-    def reference(rho, hamiltonian, jumps, alpha, observable):
-        ev = lambda op: np.einsum("ij,...ji->...", rho, op) / np.trace(rho)
-        shift = 0.0
-        for jump in jumps:
-            jd = fock.dagger(jump)
-            if mutation == "alpha^2 recycling":
-                recycle = (ev(jd @ fock.commutator(observable, jump))
-                           - ev(fock.commutator(observable, jd) @ jump))
-                shift += 0.5 * (alpha ** 2 - alpha) * recycle
-            else:
-                # The disconnected -2 <J^dag J><O> term gets the weight w, not 1.
-                w = 0.0 if mutation == "no disconnected term" else 1 - alpha * (1 - alpha)
-                shift += (alpha - 1.0) * (1.0 - w) * ev(jd @ jump) * ev(observable)
-        return exact(rho, hamiltonian, jumps, alpha, observable) + shift
-
-    return reference
-
-
-@pytest.mark.parametrize("mutation", ["alpha^2 recycling", "1 - alpha(1 - alpha) disconnected",
-                                      "no disconnected term"])
-def test_norm_conserving_suite_catches_reference_mutations(monkeypatch, mutation):
-    # Each mutation leaves the reference unchanged at alpha = 1, and the first
-    # two at alpha = 0 as well: only the alpha = 0.5 comparison can see them.
-    monkeypatch.setattr(oracle, "exact_hybrid_rhs", mutated_reference(mutation))
-    report = run_norm_conserving_suite(seeds=2)
-    assert not report.passed
-    assert report.worst_residual > 1e-3
-    assert "alpha=0.5" in report.detail
+def test_hybrid_liouvillian_alpha_structure():
+    # The generator the propagator suites trust, pinned without rhs_total: it
+    # conserves the trace at alpha = 1, is the non-Hermitian evolution at
+    # alpha = 0, and alpha weights the recycling term linearly in between.
+    cluster = MomentumCluster(2)
+    rng = np.random.default_rng(13)
+    raw = rng.normal(size=(2, cluster.dim, cluster.dim)).T @ [1.0, 1j]
+    rho = raw @ fock.dagger(raw)
+    rho /= np.trace(rho)
+    h = cluster.mean_field_hamiltonian(0.2 + 0.1j, 1.0)
+    jumps = cluster.jump_operators(0.3, 0.2)
+    liouvillian = lambda alpha: oracle._hybrid_liouvillian(rho, h, jumps, alpha)
+    assert abs(np.trace(liouvillian(1.0))) < 1e-13
+    h_nh = h - 0.5j * sum(fock.dagger(jump) @ jump for jump in jumps)
+    no_click = -1j * (h_nh @ rho - rho @ fock.dagger(h_nh))
+    assert np.max(np.abs(liouvillian(0.0) - no_click)) < 1e-13
+    recycled = sum(jump @ rho @ fock.dagger(jump) for jump in jumps)
+    for alpha in (0.3, 0.5, 1.0):
+        assert np.max(np.abs(liouvillian(alpha) - liouvillian(0.0) - alpha * recycled)) < 1e-13
 
 
 def test_propagated_rhs_matches_the_propagator():
@@ -348,7 +341,7 @@ def test_run_all_checks():
     assert all(r.passed for r in reports), "\n".join(str(r) for r in reports)
     with pytest.raises(ConfigurationError):
         run_all_checks(n_sites=5)
-    for suite in (run_eom_suite, run_norm_conserving_suite, run_nh_suite):
+    for suite in PROPAGATOR_SUITES:
         with pytest.raises(ConfigurationError, match="at least one seed"):
             suite(seeds=0)
 
@@ -371,15 +364,17 @@ def test_no_jumps_is_an_empty_stack():
     h = cluster.mean_field_hamiltonian(np.mean(state.d_k), 1.0)
     jumps = cluster.jump_operators(0.0, 0.0)
     assert jumps.shape == (0, cluster.dim, cluster.dim)
+    obs = cluster.observables
+    # With no jump the generator is -i[H, rho]: d<O>/dt = -i <[O, H]>.
+    hamiltonian_only = -1j * np.einsum("ij,kji->k", rho, obs @ h - h @ obs) / np.trace(rho)
     for alpha in (0.0, 0.5, 1.0):
-        exact = exact_hybrid_rhs(rho, h, jumps, alpha, cluster.observables)
-        propagated = propagated_rhs(rho, h, jumps, alpha, cluster.observables)
-        assert exact.shape == propagated.shape == (4,)
-        assert np.max(np.abs(exact - propagated)) < 1e-13
+        propagated = propagated_rhs(rho, h, jumps, alpha, obs)
+        assert propagated.shape == (4,)
+        assert np.max(np.abs(propagated - hamiltonian_only)) < 1e-13
 
 
 def test_report_formatting():
     report = run_eom_suite(seeds=1, n_sites=2)
     text = str(report)
     assert text.startswith("[PASS]")
-    assert "eom-equivalence" in text
+    assert "hybrid-propagator" in text
