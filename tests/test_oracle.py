@@ -274,6 +274,35 @@ def test_nan_residual_fails_the_other_suites(monkeypatch, target, fake, suite):
     assert not suite(seeds=2).passed
 
 
+def mutated_reference(mutation):
+    """propagated_rhs with one term changed where alpha is strictly inside (0, 1)."""
+
+    def reference(rho, hamiltonian, jumps, alpha, observable):
+        recycling = alpha ** 2 if mutation == "alpha^2 recycling" else alpha
+        gen = oracle._hybrid_liouvillian(rho, hamiltonian, jumps, recycling)
+        # The disconnected -Tr(L rho) <O> term of the normalization gets the weight w, not 1.
+        w = {"1 - alpha(1 - alpha) disconnected": 1 - alpha * (1 - alpha),
+             "no disconnected term": 0.0}.get(mutation, 1.0)
+        tr = np.trace(rho)
+        ev = lambda mat: np.einsum("ij,...ji->...", mat, observable)
+        return ev(gen) / tr - w * ev(rho) * np.trace(gen) / tr ** 2
+
+    return reference
+
+
+@pytest.mark.parametrize("mutation", ["alpha^2 recycling", "1 - alpha(1 - alpha) disconnected",
+                                      "no disconnected term"])
+def test_eom_suite_catches_reference_mutations(monkeypatch, mutation):
+    # Each mutation leaves the reference unchanged at alpha = 1, and the first
+    # two at alpha = 0 as well: only the alpha = 0.5 suite can see them.
+    monkeypatch.setattr(oracle, "propagated_rhs", mutated_reference(mutation))
+    assert run_norm_conserving_suite(seeds=2).passed
+    report = run_eom_suite(seeds=2)
+    assert not report.passed
+    assert report.worst_residual > 1e-3
+    assert "alpha=0.5" in report.detail
+
+
 def test_hybrid_liouvillian_alpha_structure():
     # The generator the propagator suites trust, pinned without rhs_total: it
     # conserves the trace at alpha = 1, is the non-Hermitian evolution at
