@@ -119,11 +119,10 @@ def assemble(cfg):
 
 def write_csv(path, series):
     names, columns = zip(*series.columns())
+    row = ",".join(["%.17e"] * len(names)) + "\r\n"  # csv.writer's line ending
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(names)
-        for row in zip(*columns):
-            writer.writerow([f"{value:.17e}" for value in row])
+        csv.writer(handle).writerow(names)
+        handle.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
 def write_sidecar(path, cfg, grid, series):

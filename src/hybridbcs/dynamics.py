@@ -38,6 +38,11 @@ class SystemParams:
             raise ConfigurationError("u, gamma and pump must be finite and non-negative")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigurationError("alpha must lie in [0, 1]")
+        # rhs_total's table = _plan @ (1, s): its values at s = 0, then the unit steps.
+        t0, *ts = (_table(self, *s).T for s in np.eye(4)[:, 1:].tolist())
+        plan = np.stack([t0] + [t - t0 for t in ts], axis=-1).reshape(-1, 4)
+        plan.flags.writeable = False
+        object.__setattr__(self, "_plan", plan)
 
 
 class BcsState:
@@ -45,18 +50,23 @@ class BcsState:
     held as rows 1-3 of a (12, M) stack g of the monomials 1, n_k, Re, Im, eps_k Re,
     eps_k Im of Delta_k and n_k^2, Re^2, Im^2, n_k Re, n_k Im, Re Im; rhs_total fills
     rows 4 and up. n_k is a view of row 1, y = [n_k..., Re Delta_k..., Im Delta_k...]
-    (see _split) the flat view of rows 1-3, d_k a complex copy. rhs_total writes the
-    packed derivative into out, or into a fresh array while out is None."""
+    (see _split) the flat view of rows 1-3, d_k a complex copy. rhs_total writes into
+    out, (3, M), or a fresh packed array while out is None. The stack is never
+    reallocated, so the views and scratch rhs_total reads are made here once."""
 
     def __init__(self, t, n_k, d_k):
         n_k, d_k = np.asarray(n_k, dtype=float), np.asarray(d_k, dtype=complex)
         if n_k.ndim != 1 or n_k.shape != d_k.shape:
             raise ConfigurationError("n_k and d_k must be 1-D and of the same length")
         self.t, self.out = t, None
-        self.g = np.empty((12, n_k.size))
-        self.g[0] = 1.0
-        self.g[1:4] = n_k, d_k.real, d_k.imag
-        self.n_k, self.y = self.g[1], self.g[1:4].reshape(-1)
+        self.g = g = np.empty((12, n_k.size))
+        g[0] = 1.0
+        g[1:4] = n_k, d_k.real, d_k.imag
+        self.n_k, self.y = g[1], g[1:4].reshape(-1)
+        # s = (1, s_n, s_r, s_i); by plan length 3K: the table, flat and (3, K), and rows :K
+        self._s, b = np.ones(4), np.empty(36)
+        self._views = g[1:4], g[2:4], g[4:6], g[6:9], g[9:11], g[2], g[3], g[11], self._s[1:]
+        self._tables = {3 * k: (b[:3 * k], b[:3 * k].reshape(3, k), g[:k]) for k in (6, 12)}
 
     @property
     def d_k(self):
@@ -98,9 +108,10 @@ def pseudospin(state, grid):
 def rhs_total(state, params):
     """Hybrid generator: Lindblad + (alpha-1)-weighted loss and pump terms.
 
-    Returns the packed derivative [dn_k..., Re dDelta_k..., Im dDelta_k...] (see
-    _split), written into state.out; while that is None, into a fresh array, with
-    floating-point overflow silenced as the stepper silences it.
+    Writes the rows (dn_k, Re dDelta_k, Im dDelta_k) into state.out, (3, M), unchecked:
+    the stepper screens an attempt's stages at once. While out is None, returns the
+    packed derivative [dn_k..., Re dDelta_k..., Im dDelta_k...] (see _split) in a fresh
+    array, overflow silenced as the stepper silences it, checked by _check_finite.
 
     With Phi = (-|U| + i(Gamma - P)) Delta the gap field, hole = 1 - n/2 and
     h_k = 1 - n_k, the Lindblad part is
@@ -117,7 +128,7 @@ def rhs_total(state, params):
                        - Delta_k (c_l n n_k + 2 c_p hole h_k)
                        - (c_l + c_p) Delta* Delta_k^2]
 
-    Regrouped around the scalars c = c_l + c_p, q, a0, a1 and c0 set below and
+    Regrouped around the scalars c = c_l + c_p, q, a0, a1 and c0 of _table and
     u = (-2 Im Phi + 4 c_p Re Delta, 2 Re Phi + 4 c_p Im Delta), with
     x.Delta_k = x_r Re Delta_k + x_i Im Delta_k, this reads
 
@@ -125,28 +136,39 @@ def rhs_total(state, params):
         dDelta_k = Delta_k (2i eps_k + a1 + 2 q n_k - 2 c Delta* Delta_k)
                    + c0 (1 - 2 n_k) + 2 c Delta n_k^2
 
-    so each row of `table` holds the coefficients of one monomial of
-    the stack in (dn_k, Re dDelta_k, Im dDelta_k). With c = 0 (alpha = 1 or no
-    rates; c_l, c_p <= 0, so q = 0 too) the rows quadratic in the state vanish, and
-    rows 6-11 of the stack are neither filled nor read.
+    so each row of _table holds the coefficients of one monomial of the stack in
+    (dn_k, Re dDelta_k, Im dDelta_k), affine in the weighted sums s of rows 1-3. A
+    call is three BLAS calls: s, the table params._plan @ (1, s), its product with the
+    stack. With c = 0 (alpha = 1 or no rates; c_l, c_p <= 0, so q = 0 too) the rows
+    quadratic in the state vanish, and rows 6-11 of the stack are neither filled nor read.
     """
     if state.out is None:
         with np.errstate(over="ignore", invalid="ignore"):
-            state.out = np.empty_like(state.y)
+            state.out = out = np.empty((3, state.n_k.size))
             try:
-                return rhs_total(state, params)
+                _check_finite(rhs_total(state, params), state.t)
             finally:
                 state.out = None
-    g, grid = state.g, params.grid
+        return out.reshape(-1)
+    rows, re_im, eps_re_im, squares, n_re_im, re, im, re_x_im, sums = state._views
+    np.multiply(re_im, params.grid.energies, out=eps_re_im)
+    if len(params._plan) == 36:
+        np.multiply(rows, rows, out=squares)
+        np.multiply(re_im, state.n_k, out=n_re_im)
+        np.multiply(re, im, out=re_x_im)
+    np.dot(rows, params.grid.weights, out=sums)  # as density
+    flat, table, monomials = state._tables[len(params._plan)]
+    np.dot(params._plan, state._s, out=flat)
+    np.dot(table, monomials, out=state.out)
+    return state.out
+
+
+def _table(params, s_n, s_r, s_i):
+    """rhs_total's (K, 3) coefficient table at the weighted sums s = (s_n, s_r, s_i);
+    SystemParams evaluates it once per unit vector to build the plan."""
     gamma, pump = params.gamma, params.pump
     c_l, c_p = gamma * (params.alpha - 1.0), pump * (params.alpha - 1.0)
     c = c_l + c_p
-    np.multiply(g[2:4], grid.energies, out=g[4:6])
-    if c:
-        np.multiply(g[1:4], g[1:4], out=g[6:9])
-        np.multiply(g[2:4], g[1], out=g[9:11])
-        np.multiply(g[2], g[3], out=g[11])
-    s_n, s_r, s_i = (g[1:4] @ grid.weights).tolist()  # as density
     n, delta = 2.0 * s_n, complex(s_r, s_i)
     phi = (-params.u + 1j * (gamma - pump)) * delta
     hole = 1.0 - 0.5 * n
@@ -155,7 +177,7 @@ def rhs_total(state, params):
     a1 = -gamma * n - 2.0 * (pump + 2.0 * c_p) * hole
     c0 = 1j * phi + 2.0 * c_p * delta
     c_r, c_i = 2.0 * c * s_r, 2.0 * c * s_i
-    table = np.fromiter((
+    return np.fromiter((
         a0, c0.real, c0.imag,                           # 1
         a1, -2.0 * c0.real, -2.0 * c0.imag,             # n_k
         -2.0 * phi.imag + 4.0 * c_p * s_r, a1, 0.0,     # Re Delta_k
@@ -169,16 +191,13 @@ def rhs_total(state, params):
         -2.0 * c_i, 0.0, 2.0 * q,                       # n_k Im
         0.0, -2.0 * c_i, -2.0 * c_r,                    # Re Im
     ), float, 36 if c else 18).reshape(-1, 3)
-    np.dot(table.T, g[:len(table)], out=state.out.reshape(3, -1))
-    _check_finite(state.out, state.t)
-    return state.out
 
 
 def _check_finite(deriv, t):
-    """Raise BlowupError naming the first mode with a non-finite entry of deriv. One
-    dot product screens for those; large finite entries can overflow it too, so the
-    modes are checked only when it is not finite."""
-    if not math.isfinite(np.dot(deriv, deriv)):
+    """Raise BlowupError naming the first mode with a non-finite entry of deriv, packed
+    or (3, M). One dot product screens for those; large finite entries can overflow it
+    too, so the modes are checked only when it is not finite."""
+    if not math.isfinite(np.vdot(deriv, deriv)):
         finite = np.isfinite(deriv.reshape(3, -1)).all(axis=0)
         if not finite.all():
             mode = int(np.argmin(finite))

@@ -12,11 +12,12 @@ inside a step comes from the 7th-order dense output of DOP853 (ibid., sec.
 II.6, Hairer's contd8), so recorded times equal requested times bit-for-bit.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import BcsState, density, order_parameter, pseudospin, rhs_total
+from .dynamics import BcsState, _check_finite, density, order_parameter, pseudospin, rhs_total
 from .errors import ConfigurationError, StepUnderflowError
 from .lattice import revival_time
 
@@ -146,13 +147,13 @@ class AdaptiveStepper:
     filled by __init__ and copied into row 0 as a step starts, so sample() finds
     the last step's stages intact. Two BcsState copies of initial take turns as
     self.state and the stage target, in whose stack rows each stage is combined
-    before rhs_total writes f into its row of the buffer, so a step allocates and
-    copies no state-sized array. Their out is None between calls, so rhs_total
-    called on self.state or on sample()'s state writes a fresh array. Overflow in
-    the stages is silenced once per __init__ or _stages call, not per RHS
-    evaluation, and reported by rhs_total's finite check. An attempt costs twelve
-    RHS evaluations and a step sample() reads three more; n_evals counts all,
-    n_dense those steps. self.dt is the next step's proposal.
+    before rhs_total writes f, unchecked, into the (3, M) view of its buffer row
+    (__init__ makes those views and the heads k[:i]): a step allocates and copies
+    no state-sized array. Between calls out is None, and rhs_total checks the fresh
+    array it returns (f0 too). Each _stages call silences overflow and screens the
+    rows it wrote with one dot product, naming the first non-finite stage and mode.
+    An attempt costs twelve RHS evaluations and a step sample() reads three more;
+    n_evals counts all, n_dense those steps. self.dt is the next step's proposal.
     """
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -172,7 +173,8 @@ class AdaptiveStepper:
         self.state = self._bufs[0]
         self._dense_at = self._h = 0  # the step whose extra stages are in k; last dt
         y = self.state.y
-        self._k = np.empty((16, y.size))
+        self._k = k = np.empty((16, y.size))
+        self._heads, self._rows = [k[:i] for i in range(16)], list(k.reshape(16, 3, -1))
         self._err = np.empty((3, y.size))  # the scale, then the two error rows
         self._k[12] = f0 = rhs_total(self.state, params)
         self.n_evals = 1
@@ -183,16 +185,21 @@ class AdaptiveStepper:
 
     @np.errstate(over="ignore", invalid="ignore")
     def _stages(self, rows, h, y, t, stage):
-        """Evaluate the stages in rows of a step of size h from (t, y) into self._k."""
-        a, k = h * _A, self._k
+        """Evaluate the stages in rows of a step of size h from (t, y) into self._k; if
+        their sum of squares is not finite, _check_finite each in order, at its time."""
+        a = h * _A
         for i in rows:
-            np.dot(a[i, :i], k[:i], out=stage.y)
+            np.dot(a[i, :i], self._heads[i], out=stage.y)
             stage.y += y
             stage.t = t + _C[i] * h
-            stage.out = k[i]
+            stage.out = self._rows[i]
             rhs_total(stage, self.params)
         stage.out = None
         self.n_evals += len(rows)
+        written = self._k[rows.start:rows.stop]
+        if not math.isfinite(np.vdot(written, written)):
+            for i in rows:
+                _check_finite(self._rows[i], t + _C[i] * h)
 
     def _error_norm(self, dt, y, y_new):
         """Hairer's DOP853 norm: the 5th-order estimate damped by the 3rd-order one."""

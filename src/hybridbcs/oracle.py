@@ -153,13 +153,13 @@ def _compare(name, alpha, seed_base, seeds, n_sites):
         raise ConfigurationError(f"oracle needs at least one seed, got {seeds}")
     cluster = MomentumCluster(n_sites)
     results = []
+    rates = [(gamma, pump, SystemParams(u=1.0, gamma=gamma, pump=pump, alpha=alpha,
+                                        grid=cluster.grid)) for gamma, pump in _RATES]
     for seed in range(seeds):
         state = cluster.random_state(np.random.default_rng(seed_base + seed))
         rho = cluster.gaussian_state(state)
         h = cluster.mean_field_hamiltonian(order_parameter(state, cluster.grid), 1.0)
-        for gamma, pump in _RATES:
-            params = SystemParams(u=1.0, gamma=gamma, pump=pump, alpha=alpha,
-                                  grid=cluster.grid)
+        for gamma, pump, params in rates:
             exact = propagated_rhs(rho, h, cluster.jump_operators(gamma, pump), alpha,
                                    cluster.observables)
             packed = np.concatenate(_split(rhs_total(state, params)))

@@ -8,6 +8,7 @@ import pytest
 from hybridbcs import cli, oracle
 from hybridbcs.dynamics import BcsState, _split
 from hybridbcs.errors import ConfigurationError, IntegrationError
+from hybridbcs.integrator import TimeSeries
 from hybridbcs.observables import collapse_index, detect_plateau
 
 
@@ -147,6 +148,29 @@ def test_resolve_fills_defaults(tmp_path):
     assert cfg["output"]["track_energies"] == []
 
 
+def test_csv_bytes(tmp_path):
+    # The CSV format: csv.writer's header, then every value as %.17e (exact
+    # round trip, -0.0, nan and inf included) and \r\n line endings, pinned
+    # byte for byte on a small series (and on a run's CSV in the next test).
+    series = TimeSeries(
+        t=np.array([0.5, 1 / 3]), n=np.array([1.0, -0.0]),
+        delta=np.array([0.25 - 1e-300j, complex(np.nan, np.inf)]),
+        zeta_mean=np.array([2 / 3, 1e22]), tracked_modes=np.array([7]),
+        tracked_energies=np.array([0.1]), sx=np.array([[0.1], [-2.5]]),
+        sy=np.array([[0.0], [3.0]]), sz=np.array([[-1.0], [1e-5]]),
+        zeta=np.array([[1.0], [0.75]]), metadata={"bandwidth": 2.0})
+    cli.write_csv(tmp_path / "series.csv", series)
+    assert (tmp_path / "series.csv").read_bytes() == (
+        b"t_w,n,re_delta,im_delta,abs_delta,zeta_mean,sx_7,sy_7,sz_7,zeta_7\r\n"
+        b"1.00000000000000000e+00,1.00000000000000000e+00,2.50000000000000000e-01,"
+        b"-1.00000000000000003e-300,2.50000000000000000e-01,6.66666666666666630e-01,"
+        b"1.00000000000000006e-01,0.00000000000000000e+00,-1.00000000000000000e+00,"
+        b"1.00000000000000000e+00\r\n"
+        b"6.66666666666666630e-01,-0.00000000000000000e+00,nan,inf,inf,"
+        b"1.00000000000000000e+22,-2.50000000000000000e+00,3.00000000000000000e+00,"
+        b"1.00000000000000008e-05,7.50000000000000000e-01\r\n")
+
+
 def test_run_writes_csv_and_sidecar(tmp_path):
     cfg = base_config(tmp_path)
     cfg["output"]["track_energies"] = [-0.1, 0.1]
@@ -161,6 +185,10 @@ def test_run_writes_csv_and_sidecar(tmp_path):
     assert data.shape == (30, 14)
     assert np.all(np.diff(data[:, 0]) > 0)
     assert np.allclose(data[:, 4], np.abs(data[:, 2] + 1j * data[:, 3]))
+    lines = (tmp_path / "out.csv").read_bytes().decode().split("\r\n")
+    assert len(lines) == 32 and lines[-1] == ""
+    assert all(field == f"{float(field):.17e}"
+               for line in lines[1:-1] for field in line.split(","))
 
     def reject_constant(name):
         raise ValueError(f"non-standard JSON constant {name}")

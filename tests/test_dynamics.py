@@ -193,7 +193,9 @@ def reference_rhs(state, params):
 def test_rhs_matches_term_by_term_reference():
     # rhs_total evaluates the generator in a regrouped coefficient form; the
     # reference keeps the physical terms apart. Random non-uniform weights
-    # keep every weighted sum honest (the oracle only sees uniform ones).
+    # keep every weighted sum honest (the oracle only sees uniform ones). The
+    # stepper's path, out set to a (3, M) view of a buffer row, must write the
+    # bits a direct call returns.
     rng = np.random.default_rng(8)
     m = 24
     weights = rng.uniform(0.2, 1.0, m)
@@ -212,7 +214,12 @@ def test_rhs_matches_term_by_term_reference():
                     assert state.d_k.tobytes() == strided[::2].tobytes()
                     assert not np.shares_memory(state.y, strided)
                 dn, dd = reference_rhs(state, params)
-                dn_k, dd_k = _split(rhs_total(state, params))
+                direct, buffer = rhs_total(state, params), np.full((2, 3 * m), np.nan)
+                state.out = buffer[1].reshape(3, m)
+                assert rhs_total(state, params) is state.out
+                state.out = None
+                assert buffer[1].tobytes() == direct.tobytes()
+                dn_k, dd_k = _split(direct)
                 worst = max(worst,
                             np.max(np.abs(dn_k - dn)) / np.max(np.abs(dn)),
                             np.max(np.abs(dd_k - dd)) / np.max(np.abs(dd)))

@@ -144,6 +144,37 @@ def test_blowup_reports_mode_and_time():
             assert (info.value.mode, info.value.t) == (3, 0.25)
 
 
+@pytest.mark.parametrize("scrub", [False, True])
+@pytest.mark.parametrize("stage", range(1, 16))
+def test_a_non_finite_stage_names_its_mode_and_time(monkeypatch, stage, scrub):
+    # The stepper screens each attempt's stages at once, not each derivative as
+    # it is written. A NaN written into mode 5 of one stage, of the first step
+    # (1-12) or of the dense output sampled inside it (13-15), must raise
+    # naming that mode and that stage's time: when later stages combine it
+    # (so theirs are NaN too), and when each stage state is scrubbed of it
+    # first (so only its own row is, and a screen that skips it misses it).
+    grid, ground, params = loss_setup(16, alpha=0.5)
+    first = AdaptiveStepper(params, ground, 10.0, rtol=1e-9, atol=1e-12)
+    first.step()
+    times = []
+
+    def corrupt(state, params):
+        if scrub:
+            np.nan_to_num(state.y, copy=False)
+        deriv = rhs_total(state, params)
+        times.append(state.t)
+        if len(times) == 1 + stage:  # call 1 is f0
+            deriv.reshape(3, -1)[1, 5] = np.nan
+        return deriv
+
+    monkeypatch.setattr(integrator, "rhs_total", corrupt)
+    protocol = Protocol(sample_times=np.array([0.5 * first.state.t, 10.0]))
+    with pytest.raises(BlowupError) as info:
+        run_protocol(ground, params, protocol)
+    assert (info.value.mode, info.value.t) == (5, times[stage])
+    assert times[stage] == ground.t + integrator._C[stage] * first.state.t
+
+
 @pytest.mark.parametrize("alpha", [1.0, 0.0])
 def test_steps_allocate_less_than_one_state(alpha):
     # Each stage is combined inside the target state's monomial stack and
