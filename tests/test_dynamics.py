@@ -219,6 +219,7 @@ def test_rhs_matches_term_by_term_reference():
                 assert rhs_total(state, params) is state.out
                 state.out = None
                 assert buffer[1].tobytes() == direct.tobytes()
+                assert np.isnan(buffer[0]).all()
                 dn_k, dd_k = _split(direct)
                 worst = max(worst,
                             np.max(np.abs(dn_k - dn)) / np.max(np.abs(dn)),
